@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/stagerr"
 )
 
 func quickWorkloadConfig() WorkloadConfig {
@@ -333,5 +335,112 @@ func TestFacadeRebalanceDeterminism(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// modelParams is the β/FMax triple every decision layer resolves through
+// one policy (dimemas.NewEnv).
+type modelParams struct {
+	beta    float64
+	betaSet bool
+	fmax    float64
+}
+
+// TestFacadeModelPolicy runs every decision layer's facade entry point
+// under the same model parameters: out-of-range β or FMax must fail with
+// the validate stage in every layer, and an unset β must give the same
+// result, bit for bit, as an explicit 0.5.
+func TestFacadeModelPolicy(t *testing.T) {
+	tr, err := GenerateWorkload("IS-32", quickWorkloadConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	six, err := UniformGearSet(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := NewPowerModel(DefaultPowerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap := 0.6 * float64(tr.NumRanks()) * pm.Power(PhaseCompute, GearAtFrequency(FMax))
+	machine := Machine{Topo: &MachineTopology{
+		Placement: ShuffledPlacement(tr.NumRanks(), 16, 1),
+		Intra:     Link{Latency: 1e-7, Bandwidth: 1e10},
+		Inter:     Link{Latency: 2e-5, Bandwidth: 5e7},
+	}}
+	layers := []struct {
+		name string
+		run  func(m modelParams) (any, error)
+	}{
+		{"analysis", func(m modelParams) (any, error) {
+			return Analyze(AnalysisConfig{Trace: tr, Set: six, Algorithm: MAX, Beta: m.beta, BetaSet: m.betaSet, FMax: m.fmax})
+		}},
+		{"analysis-batch", func(m modelParams) (any, error) {
+			res, errs, err := AnalyzeBatch(AnalysisConfig{Trace: tr, Beta: m.beta, BetaSet: m.betaSet, FMax: m.fmax},
+				[]AnalysisBatchItem{{Set: six, Algorithm: MAX}})
+			if err != nil {
+				return nil, err
+			}
+			return []any{res, errs}, nil
+		}},
+		{"gearopt", func(m modelParams) (any, error) {
+			return OptimizeGearSet(GearSearchConfig{Traces: []*Trace{tr}, NGears: 3, MaxRounds: 1, Beta: m.beta, BetaSet: m.betaSet, FMax: m.fmax})
+		}},
+		{"powercap", func(m modelParams) (any, error) {
+			return SchedulePowerCap(PowerCapConfig{Trace: tr, Set: six, Cap: cap, Beta: m.beta, BetaSet: m.betaSet, FMax: m.fmax})
+		}},
+		{"rebalance", func(m modelParams) (any, error) {
+			return RunRebalance(RebalanceConfig{
+				Trace: tr, Set: six, Policy: RebalanceThreshold, Iterations: 6,
+				Drift: WorkloadDrift{Kind: DriftRamp, Magnitude: 0.4, Jitter: 0.02, Seed: 3},
+				Beta:  m.beta, BetaSet: m.betaSet, FMax: m.fmax,
+			})
+		}},
+		{"placement", func(m modelParams) (any, error) {
+			return OptimizePlacement(PlacementConfig{Trace: tr, Machine: machine, MaxPasses: 1, Beta: m.beta, BetaSet: m.betaSet, FMax: m.fmax})
+		}},
+		{"jitter", func(m modelParams) (any, error) {
+			return RunJitter(JitterConfig{Trace: tr, Set: six, Beta: m.beta, BetaSet: m.betaSet, FMax: m.fmax})
+		}},
+		{"phased", func(m modelParams) (any, error) {
+			return RunPhased(PhasedConfig{Trace: tr, Set: six, Beta: m.beta, BetaSet: m.betaSet, FMax: m.fmax})
+		}},
+	}
+	bad := []struct {
+		name string
+		m    modelParams
+	}{
+		{"beta 1.5", modelParams{beta: 1.5, betaSet: true}},
+		{"beta -0.1", modelParams{beta: -0.1}},
+		{"beta NaN", modelParams{beta: math.NaN(), betaSet: true}},
+		{"fmax -1", modelParams{fmax: -1}},
+		{"fmax NaN", modelParams{fmax: math.NaN()}},
+		{"fmax +Inf", modelParams{fmax: math.Inf(1)}},
+	}
+	for _, layer := range layers {
+		t.Run(layer.name, func(t *testing.T) {
+			for _, b := range bad {
+				_, err := layer.run(b.m)
+				if err == nil {
+					t.Errorf("%s accepted", b.name)
+					continue
+				}
+				if st, _ := stagerr.StageOf(err); st != stagerr.Validate {
+					t.Errorf("%s: stage %q, want validate (err %v)", b.name, st, err)
+				}
+			}
+			unset, err := layer.run(modelParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			explicit, err := layer.run(modelParams{beta: DefaultBeta, betaSet: true, fmax: FMax})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(unset, explicit) {
+				t.Errorf("unset β differs from an explicit %v:\n unset    %+v\n explicit %+v", DefaultBeta, unset, explicit)
+			}
+		})
 	}
 }

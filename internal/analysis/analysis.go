@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dimemas"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/stagerr"
-	"repro/internal/timemodel"
 	"repro/internal/trace"
 )
 
@@ -104,62 +102,27 @@ type Result struct {
 // ErrNilTrace reports a missing trace.
 var ErrNilTrace = errors.New("analysis: config needs a trace")
 
-func (c *Config) normalize() error {
+func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Trace == nil {
-		return ErrNilTrace
+		return dimemas.Env{}, ErrNilTrace
 	}
 	if c.Set == nil {
-		return core.ErrNilSet
+		return dimemas.Env{}, core.ErrNilSet
 	}
 	return c.normalizeShared()
 }
 
 // normalizeShared validates and defaults the fields a batched analysis
-// shares across items — everything except the per-item gear set.
-func (c *Config) normalizeShared() error {
+// shares across items — everything except the per-item gear set — and
+// resolves the model the pipeline replays under.
+func (c *Config) normalizeShared() (dimemas.Env, error) {
 	if c.Trace == nil {
-		return ErrNilTrace
-	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
+		return dimemas.Env{}, ErrNilTrace
 	}
 	if c.Power == (power.Config{}) {
 		c.Power = power.DefaultConfig()
 	}
-	if c.Beta < 0 || c.Beta > 1 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("analysis: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		// β = 0 is legal in the time model but means DVFS is free; every
-		// study in the paper uses β ≥ 0.3. The bare zero value therefore
-		// reads as "unset" for ergonomic configs — callers who really want
-		// a fully memory-bound run say so with BetaSet.
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	if c.FMax < 0 {
-		return fmt.Errorf("analysis: negative fmax %v", c.FMax)
-	}
-	return nil
-}
-
-// machine resolves the layered machine the pipeline replays on (call after
-// normalizeShared): the explicit Machine when configured, inheriting the
-// normalized Platform into a zero Base, or the flat homogeneous machine.
-func (c *Config) machine() (dimemas.Machine, error) {
-	if c.Machine == nil {
-		return dimemas.FlatMachine(c.Platform), nil
-	}
-	m := *c.Machine
-	if m.Base == (dimemas.Platform{}) {
-		m.Base = c.Platform
-	}
-	if err := m.ValidateFor(c.Trace.NumRanks()); err != nil {
-		return dimemas.Machine{}, err
-	}
-	return m, nil
+	return dimemas.NewEnv(c.Platform, c.Machine, c.Beta, c.BetaSet, c.FMax, c.Trace.NumRanks())
 }
 
 // capFMaxes returns the machine's per-rank frequency ceilings for the
@@ -193,7 +156,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func run(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+	env, err := cfg.normalize()
+	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
 	// Warm-cache runs touch no cancellation point inside the replays; bail
@@ -207,19 +171,14 @@ func run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine, err := cfg.machine()
-	if err != nil {
-		return nil, stagerr.Wrap(stagerr.Validate, err)
-	}
-
 	// Original execution: every rank at the nominal top frequency. A
 	// precomputed baseline short-circuits the replay; otherwise the cache
 	// (nil-safe: a nil cache simulates directly) memoizes it across runs.
-	simOpts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, RecordTimeline: cfg.RecordTimelines, Ctx: cfg.Ctx}
+	simOpts := env.Options(cfg.Ctx)
+	simOpts.RecordTimeline = cfg.RecordTimelines
 	orig := cfg.Baseline
 	if orig == nil {
-		var err error
-		orig, err = cfg.Cache.OriginalMachine(cfg.Trace, machine, simOpts)
+		orig, err = cfg.Cache.OriginalMachine(cfg.Trace, env.Machine, simOpts)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: original replay: %w", err)
 		}
@@ -235,7 +194,7 @@ func run(cfg Config) (*Result, error) {
 
 	// Frequency assignment from the original per-process computation times,
 	// honoring per-rank frequency ceilings on heterogeneous machines.
-	balancer := &core.Balancer{Set: cfg.Set, Beta: cfg.Beta, FMax: cfg.FMax, Rounding: cfg.Rounding, FMaxes: capFMaxes(&machine)}
+	balancer := &core.Balancer{Set: cfg.Set, Beta: env.Beta, FMax: env.FMax, Rounding: cfg.Rounding, FMaxes: capFMaxes(&env.Machine)}
 	assignment, err := balancer.Assign(cfg.Algorithm, orig.Compute)
 	if err != nil {
 		return nil, err
@@ -246,15 +205,15 @@ func run(cfg Config) (*Result, error) {
 	// without one it degrades to a plain Simulate call.
 	newOpts := simOpts
 	newOpts.Freqs = assignment.Freqs()
-	next, err := cfg.Cache.ReplayMachine(cfg.Trace, machine, newOpts)
+	next, err := cfg.Cache.ReplayMachine(cfg.Trace, env.Machine, newOpts)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: DVFS replay: %w", err)
 	}
 
 	// Energy accounting: each CPU is powered for the whole run at its
 	// assigned gear; whatever is not computation is communication/wait.
-	nominal := dvfs.GearAt(cfg.FMax)
-	scales := powerScales(&machine)
+	nominal := dvfs.GearAt(env.FMax)
+	scales := powerScales(&env.Machine)
 	origStats, err := runStats(pm, orig, uniformGears(len(orig.Compute), nominal), scales)
 	if err != nil {
 		return nil, err

@@ -48,7 +48,8 @@ func RunBatch(cfg Config, items []BatchItem) (results []*Result, errs []error, e
 }
 
 func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
-	if err := cfg.normalizeShared(); err != nil {
+	env, err := cfg.normalizeShared()
+	if err != nil {
 		return nil, nil, stagerr.Wrap(stagerr.Validate, err)
 	}
 	if cfg.RecordTimelines {
@@ -63,11 +64,6 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	machine, err := cfg.machine()
-	if err != nil {
-		return nil, nil, stagerr.Wrap(stagerr.Validate, err)
-	}
-
 	// Shared stages, computed once. A nil cache gets a private one: the
 	// skeleton must be built regardless, and its retimings are bit-identical
 	// to the fresh simulations an uncached Run performs.
@@ -75,10 +71,10 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 	if cache == nil {
 		cache = dimemas.NewReplayCache()
 	}
-	simOpts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Ctx: cfg.Ctx}
+	simOpts := env.Options(cfg.Ctx)
 	orig := cfg.Baseline
 	if orig == nil {
-		orig, err = cache.OriginalMachine(cfg.Trace, machine, simOpts)
+		orig, err = cache.OriginalMachine(cfg.Trace, env.Machine, simOpts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("analysis: original replay: %w", err)
 		}
@@ -91,12 +87,12 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	skel, err := cache.SkeletonForMachine(cfg.Trace, machine, simOpts)
+	skel, err := cache.SkeletonForMachine(cfg.Trace, env.Machine, simOpts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: timing skeleton: %w", err)
 	}
-	nominal := dvfs.GearAt(cfg.FMax)
-	scales := powerScales(&machine)
+	nominal := dvfs.GearAt(env.FMax)
+	scales := powerScales(&env.Machine)
 	origStats, err := runStats(pm, orig, uniformGears(len(orig.Compute), nominal), scales)
 	if err != nil {
 		return nil, nil, err
@@ -114,7 +110,7 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 			errs[i] = stagerr.Wrap(stagerr.Validate, core.ErrNilSet)
 			continue
 		}
-		balancer := &core.Balancer{Set: item.Set, Beta: cfg.Beta, FMax: cfg.FMax, Rounding: item.Rounding, FMaxes: capFMaxes(&machine)}
+		balancer := &core.Balancer{Set: item.Set, Beta: env.Beta, FMax: env.FMax, Rounding: item.Rounding, FMaxes: capFMaxes(&env.Machine)}
 		a, err := balancer.Assign(item.Algorithm, orig.Compute)
 		if err != nil {
 			errs[i] = err

@@ -105,57 +105,53 @@ func NewReplayCacheWithLimit(maxEntries int) *ReplayCache {
 	}
 }
 
-// Original returns the memoized baseline replay of t under opts, simulating
-// it on first use. A nil receiver, or options carrying explicit per-rank
-// frequencies (which the cache does not index), degrade to a plain
-// uncached Simulate call, so callers can thread an optional cache without
+// OriginalMachine returns the memoized baseline replay of t on machine m
+// under opts, simulating it on first use. Machines are distinguished in the
+// key by their fingerprint, so heterogeneous per-request machines share one
+// cache safely. A nil receiver, or options carrying explicit per-rank
+// frequencies (which the cache does not index), degrade to a plain uncached
+// SimulateMachine call, so callers can thread an optional cache without
 // branching.
-func (c *ReplayCache) Original(t *trace.Trace, p Platform, opts Options) (*Result, error) {
-	return c.original(t, -1, t, FlatMachine(p), opts)
-}
-
-// OriginalMachine is Original on the layered machine model; machines are
-// distinguished in the key by their fingerprint, so heterogeneous
-// per-request machines share one cache safely.
 func (c *ReplayCache) OriginalMachine(t *trace.Trace, m Machine, opts Options) (*Result, error) {
 	return c.original(t, -1, t, m, opts)
 }
 
-// OriginalSlice is Original for a per-iteration sub-trace: sub must be
-// parent.Slice(iteration, iteration+1). Keying on (parent, iteration)
+// Original is OriginalMachine on the flat machine of p. It stays because
+// the benchmark module (pwrbench) calls it.
+func (c *ReplayCache) Original(t *trace.Trace, p Platform, opts Options) (*Result, error) {
+	return c.OriginalMachine(t, FlatMachine(p), opts)
+}
+
+// OriginalSlice is OriginalMachine for a per-iteration sub-trace: sub must
+// be parent.Slice(iteration, iteration+1). Keying on (parent, iteration)
 // instead of the sub-trace pointer lets repeated emulations of the same
 // parent trace (which re-slice it every run) share the replays.
-func (c *ReplayCache) OriginalSlice(parent *trace.Trace, iteration int, sub *trace.Trace, p Platform, opts Options) (*Result, error) {
-	return c.original(parent, iteration, sub, FlatMachine(p), opts)
+func (c *ReplayCache) OriginalSlice(parent *trace.Trace, iteration int, sub *trace.Trace, m Machine, opts Options) (*Result, error) {
+	return c.original(parent, iteration, sub, m, opts)
 }
 
-// SkeletonFor returns the memoized timing skeleton of t under opts
-// (Options.Freqs and RecordTimeline are irrelevant to the key — the
-// skeleton covers every gear assignment and timeline mode). A nil receiver
-// builds an uncached skeleton.
-func (c *ReplayCache) SkeletonFor(t *trace.Trace, p Platform, opts Options) (*Skeleton, error) {
-	return c.skeleton(t, -1, t, FlatMachine(p), opts)
-}
-
-// SkeletonForMachine is SkeletonFor on the layered machine model (keyed by
-// the machine fingerprint in addition to the platform scalars).
+// SkeletonForMachine returns the memoized timing skeleton of t on machine m
+// under opts (Options.Freqs and RecordTimeline are irrelevant to the key —
+// the skeleton covers every gear assignment and timeline mode). A nil
+// receiver builds an uncached skeleton.
 func (c *ReplayCache) SkeletonForMachine(t *trace.Trace, m Machine, opts Options) (*Skeleton, error) {
 	return c.skeleton(t, -1, t, m, opts)
 }
 
-// SkeletonForSliceMachine is SkeletonForSlice on the layered machine model.
-func (c *ReplayCache) SkeletonForSliceMachine(parent *trace.Trace, iteration int, sub *trace.Trace, m Machine, opts Options) (*Skeleton, error) {
-	return c.skeleton(parent, iteration, sub, m, opts)
+// SkeletonFor is SkeletonForMachine on the flat machine of p. It stays
+// because the benchmark module (pwrbench) calls it.
+func (c *ReplayCache) SkeletonFor(t *trace.Trace, p Platform, opts Options) (*Skeleton, error) {
+	return c.SkeletonForMachine(t, FlatMachine(p), opts)
 }
 
-// SkeletonForSlice is SkeletonFor for a per-iteration sub-trace: sub must be
-// parent.Slice(iteration, iteration+1). Keying on (parent, iteration)
-// instead of the sub-trace pointer lets repeated runs over the same parent
-// trace (which re-slice it every run — policy sweeps, benchmarks, repeated
-// server requests) share one skeleton, exactly as OriginalSlice does for
-// baseline replays.
-func (c *ReplayCache) SkeletonForSlice(parent *trace.Trace, iteration int, sub *trace.Trace, p Platform, opts Options) (*Skeleton, error) {
-	return c.skeleton(parent, iteration, sub, FlatMachine(p), opts)
+// SkeletonForSliceMachine is SkeletonForMachine for a per-iteration
+// sub-trace: sub must be parent.Slice(iteration, iteration+1). Keying on
+// (parent, iteration) lets repeated runs over the same parent trace (which
+// re-slice it every run — policy sweeps, benchmarks, repeated server
+// requests) share one skeleton, exactly as OriginalSlice does for baseline
+// replays.
+func (c *ReplayCache) SkeletonForSliceMachine(parent *trace.Trace, iteration int, sub *trace.Trace, m Machine, opts Options) (*Skeleton, error) {
+	return c.skeleton(parent, iteration, sub, m, opts)
 }
 
 func (c *ReplayCache) skeleton(keyTrace *trace.Trace, slice int, build *trace.Trace, m Machine, opts Options) (*Skeleton, error) {
@@ -178,16 +174,11 @@ func (c *ReplayCache) skeleton(keyTrace *trace.Trace, slice int, build *trace.Tr
 	return e.skel, e.err
 }
 
-// Replay returns the replay of t under opts: the memoized baseline when
-// opts.Freqs is nil, and a skeleton retiming — bit-identical to Simulate
-// but an order of magnitude cheaper — when per-rank frequencies are given.
-// A nil receiver degrades to a plain Simulate call.
-func (c *ReplayCache) Replay(t *trace.Trace, p Platform, opts Options) (*Result, error) {
-	return c.ReplayMachine(t, FlatMachine(p), opts)
-}
-
-// ReplayMachine is Replay on the layered machine model: the memoized
-// machine baseline for nil Freqs, a machine-skeleton retiming otherwise.
+// ReplayMachine returns the replay of t on machine m under opts: the
+// memoized baseline when opts.Freqs is nil, and a skeleton retiming —
+// bit-identical to SimulateMachine but an order of magnitude cheaper — when
+// per-rank frequencies are given. A nil receiver degrades to a plain
+// SimulateMachine call.
 func (c *ReplayCache) ReplayMachine(t *trace.Trace, m Machine, opts Options) (*Result, error) {
 	if opts.Freqs == nil {
 		return c.OriginalMachine(t, m, opts)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/dvfs"
 	"repro/internal/stagerr"
 	"repro/internal/timemodel"
 	"repro/internal/trace"
@@ -54,16 +55,16 @@ type Options struct {
 // DefaultOptions returns the paper's baseline: β = 0.5, fmax = 2.3 GHz,
 // every rank at top frequency.
 func DefaultOptions() Options {
-	return Options{Beta: timemodel.DefaultBeta, FMax: 2.3}
+	return Options{Beta: timemodel.DefaultBeta, FMax: dvfs.FMax}
 }
 
 // validateModel checks the model parameters shared by Simulate and
-// BuildSkeleton. NaN is rejected explicitly: it slips through the range
-// comparisons and would breed NaN clocks, on which the retimer's branch
-// max and math.Max disagree.
+// BuildSkeleton. NaN and an infinite FMax are rejected explicitly: NaN slips
+// through the range comparisons, and both breed NaN clocks, on which the
+// retimer's branch max and math.Max disagree.
 func (o *Options) validateModel() error {
-	if o.FMax <= 0 || math.IsNaN(o.FMax) {
-		return stagerr.Errorf(stagerr.Validate, "dimemas: FMax must be positive, got %v", o.FMax)
+	if o.FMax <= 0 || math.IsNaN(o.FMax) || math.IsInf(o.FMax, 1) {
+		return stagerr.Errorf(stagerr.Validate, "dimemas: FMax must be positive and finite, got %v", o.FMax)
 	}
 	if o.Beta < 0 || o.Beta > 1 || math.IsNaN(o.Beta) {
 		return stagerr.Errorf(stagerr.Validate, "dimemas: beta %v outside [0, 1]", o.Beta)

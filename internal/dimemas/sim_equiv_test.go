@@ -295,11 +295,11 @@ func TestReplayCacheSliceKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := cache.OriginalSlice(tr, 1, sub1, DefaultPlatform(), opts)
+	a, err := cache.OriginalSlice(tr, 1, sub1, FlatMachine(DefaultPlatform()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.OriginalSlice(tr, 1, sub2, DefaultPlatform(), opts)
+	b, err := cache.OriginalSlice(tr, 1, sub2, FlatMachine(DefaultPlatform()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestReplayCacheSliceKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.OriginalSlice(tr, 0, sub0, DefaultPlatform(), opts); err != nil {
+	if _, err := cache.OriginalSlice(tr, 0, sub0, FlatMachine(DefaultPlatform()), opts); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cache.Original(tr, DefaultPlatform(), opts); err != nil {

@@ -250,7 +250,7 @@ func TestReplayCacheSkeletonForSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := cache.SkeletonForSlice(tr, 0, subA, p, opts)
+	a, err := cache.SkeletonForSliceMachine(tr, 0, subA, FlatMachine(p), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestReplayCacheSkeletonForSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.SkeletonForSlice(tr, 0, subB, p, opts)
+	b, err := cache.SkeletonForSliceMachine(tr, 0, subB, FlatMachine(p), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestReplayCacheSkeletonForSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.SkeletonForSlice(tr, 1, sub1, p, opts)
+	c, err := cache.SkeletonForSliceMachine(tr, 1, sub1, FlatMachine(p), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +299,8 @@ func TestReplayCacheSkeletonForSlice(t *testing.T) {
 	mustEqualResults(t, "slice skeleton", got, want)
 	// Nil receivers degrade to an uncached build.
 	var nilCache *ReplayCache
-	if sk, err := nilCache.SkeletonForSlice(tr, 0, subA, p, opts); err != nil || sk == nil {
-		t.Fatalf("nil cache SkeletonForSlice: %v, %v", sk, err)
+	if sk, err := nilCache.SkeletonForSliceMachine(tr, 0, subA, FlatMachine(p), opts); err != nil || sk == nil {
+		t.Fatalf("nil cache SkeletonForSliceMachine: %v, %v", sk, err)
 	}
 }
 
@@ -336,6 +336,14 @@ func TestBuildSkeletonValidatesOptions(t *testing.T) {
 	}
 	if _, err := Simulate(tr, p, Options{Beta: 0.5, FMax: math.NaN()}); err == nil {
 		t.Error("Simulate accepted NaN FMax")
+	}
+	// An infinite FMax must fail: Simulate would return NaN compute times
+	// with a finite Time while Retime returns Time = 0.
+	if _, err := BuildSkeleton(tr, p, Options{Beta: 0.5, FMax: math.Inf(1)}); err == nil {
+		t.Error("+Inf FMax accepted")
+	}
+	if _, err := Simulate(tr, p, Options{Beta: 0.5, FMax: math.Inf(1)}); err == nil {
+		t.Error("Simulate accepted +Inf FMax")
 	}
 	bad := Platform{Latency: -1, Bandwidth: 1}
 	if _, err := BuildSkeleton(tr, bad, DefaultOptions()); err == nil {
@@ -380,14 +388,14 @@ func TestReplayCacheSkeletonSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cache.Replay(tr, p, simOpts)
+	got, err := cache.ReplayMachine(tr, FlatMachine(p), simOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustEqualResults(t, "cache.Replay", got, want)
 	// Nil caches degrade to plain simulation for both entry points.
 	var nilCache *ReplayCache
-	res, err := nilCache.Replay(tr, p, simOpts)
+	res, err := nilCache.ReplayMachine(tr, FlatMachine(p), simOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -391,33 +389,6 @@ func writeResp(w http.ResponseWriter, resp *bufferedResp) {
 	w.Write(resp.body)
 }
 
-// newRequestID returns a fresh 16-hex-digit random ID (same format the
-// daemon assigns), so a request that enters the fleet through the gateway
-// is traceable across both tiers with one ID.
-func newRequestID() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeRequestID mirrors the daemon's inbound-ID policy: accept only
-// short plain tokens, otherwise assign our own.
-func sanitizeRequestID(id string) string {
-	if len(id) == 0 || len(id) > 64 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
-		case c == '-', c == '_', c == '.':
-		default:
-			return ""
-		}
-	}
-	return id
-}
-
 // attemptOut is one backend attempt's outcome.
 type attemptOut struct {
 	b     *backend
@@ -432,10 +403,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	route := r.URL.Path
 	defer func() { g.reg.observe(route, time.Since(start)) }()
 
-	id := sanitizeRequestID(r.Header.Get(server.RequestIDHeader))
-	if id == "" {
-		id = newRequestID()
-	}
+	id := server.RequestIDFor(r.Header.Get(server.RequestIDHeader))
 	r.Header.Set(server.RequestIDHeader, id)
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))

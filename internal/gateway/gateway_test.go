@@ -439,3 +439,50 @@ func TestHealthLoopObservesJoin(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// The gateway applies the daemon's request-ID rule (server.RequestIDFor): a
+// valid inbound ID travels unchanged through the gateway to the backend and
+// back, and a hostile or over-long one is replaced by one fresh ID that both
+// tiers then share.
+func TestRequestIDEndToEnd(t *testing.T) {
+	_, ts := newBackendServer(t)
+	g := newGateway(t, Config{}, ts.URL)
+	// An unknown app fails validation on the backend, whose error envelope
+	// reports the ID the backend saw.
+	const body = `{"trace": {"app": "NOPE-32", "quick": true}}`
+	send := func(id string) (header, envelope string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/replay", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(server.RequestIDHeader, id)
+		g.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("request = %d, want the backend's 400: %s", rec.Code, rec.Body.String())
+		}
+		var eb server.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("400 body is not the error envelope: %s", rec.Body.String())
+		}
+		if eb.Stage != string(stagerr.Validate) {
+			t.Fatalf("stage = %q, want the backend's validate", eb.Stage)
+		}
+		return rec.Header().Get(server.RequestIDHeader), eb.RequestID
+	}
+
+	for _, id := range []string{"client-42.a_B", strings.Repeat("x", 64)} {
+		header, envelope := send(id)
+		if header != id || envelope != id {
+			t.Errorf("valid ID %q came back as header %q, envelope %q", id, header, envelope)
+		}
+	}
+	for _, id := range []string{strings.Repeat("x", 65), "evil\tid", "<script>", "a b"} {
+		header, envelope := send(id)
+		if header == id || len(header) != 16 {
+			t.Errorf("hostile ID %q not replaced by a fresh ID: got %q", id, header)
+		}
+		if envelope != header {
+			t.Errorf("hostile ID %q: backend saw %q, client got %q", id, envelope, header)
+		}
+	}
+}

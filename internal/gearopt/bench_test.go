@@ -23,19 +23,20 @@ func benchSearcher(b *testing.B) (*searcher, []float64) {
 		b.Fatal(err)
 	}
 	scfg := Config{Traces: []*trace.Trace{tr}, NGears: 6, Cache: dimemas.NewReplayCache()}
-	if err := scfg.normalize(); err != nil {
+	env, err := scfg.normalize()
+	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := newSearcher(scfg)
+	s, err := newSearcher(scfg, env)
 	if err != nil {
 		b.Fatal(err)
 	}
 	freqs := make([]float64, scfg.NGears)
-	step := (scfg.FMax - dvfs.FMin) / float64(scfg.NGears-1)
+	step := (env.FMax - dvfs.FMin) / float64(scfg.NGears-1)
 	for i := range freqs {
 		freqs[i] = dvfs.FMin + float64(i)*step
 	}
-	freqs[scfg.NGears-1] = scfg.FMax
+	freqs[scfg.NGears-1] = env.FMax
 	return s, freqs
 }
 

@@ -25,7 +25,6 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/power"
 	"repro/internal/stagerr"
-	"repro/internal/timemodel"
 	"repro/internal/trace"
 )
 
@@ -116,61 +115,38 @@ type searcher struct {
 	evals    int
 }
 
-func (cfg *Config) normalize() error {
+func (cfg *Config) normalize() (dimemas.Env, error) {
 	if len(cfg.Traces) == 0 {
-		return ErrNoTraces
+		return dimemas.Env{}, ErrNoTraces
 	}
 	if cfg.NGears < 2 {
-		return fmt.Errorf("gearopt: need at least 2 gears, got %d", cfg.NGears)
-	}
-	if cfg.Platform == (dimemas.Platform{}) {
-		cfg.Platform = dimemas.DefaultPlatform()
+		return dimemas.Env{}, fmt.Errorf("gearopt: need at least 2 gears, got %d", cfg.NGears)
 	}
 	if cfg.Power == (power.Config{}) {
 		cfg.Power = power.DefaultConfig()
-	}
-	if cfg.Beta == 0 && !cfg.BetaSet {
-		cfg.Beta = timemodel.DefaultBeta
-	}
-	if cfg.FMax == 0 {
-		cfg.FMax = dvfs.FMax
 	}
 	if cfg.Grid == 0 {
 		cfg.Grid = 0.05
 	}
 	if cfg.Grid <= 0 {
-		return fmt.Errorf("gearopt: grid step must be positive, got %v", cfg.Grid)
+		return dimemas.Env{}, fmt.Errorf("gearopt: grid step must be positive, got %v", cfg.Grid)
 	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 8
 	}
-	return nil
-}
-
-// machine resolves the layered machine the search runs on (call after
-// normalize): the explicit Machine when configured, inheriting the
-// normalized Platform into a zero Base, or the flat homogeneous machine.
-// Per-trace rank-count validation happens in newSearcher.
-func (cfg *Config) machine() dimemas.Machine {
-	if cfg.Machine == nil {
-		return dimemas.FlatMachine(cfg.Platform)
-	}
-	m := *cfg.Machine
-	if m.Base == (dimemas.Platform{}) {
-		m.Base = cfg.Platform
-	}
-	return m
+	// Per-trace rank-count validation happens in newSearcher.
+	return dimemas.NewEnv(cfg.Platform, cfg.Machine, cfg.Beta, cfg.BetaSet, cfg.FMax, -1)
 }
 
 // newSearcher profiles every application once (baseline replay + timing
 // skeleton, both shared through the cache when one is configured) and
 // preallocates the per-evaluation buffers.
-func newSearcher(cfg Config) (*searcher, error) {
+func newSearcher(cfg Config, env dimemas.Env) (*searcher, error) {
 	pm, err := power.New(cfg.Power)
 	if err != nil {
 		return nil, err
 	}
-	machine := cfg.machine()
+	machine := env.Machine
 	var fmaxes, pscale []float64
 	if machine.Cap != nil {
 		fmaxes = machine.Cap.FMax
@@ -181,11 +157,11 @@ func newSearcher(cfg Config) (*searcher, error) {
 		profiles: make([]appProfile, len(cfg.Traces)),
 		pm:       pm,
 		pscale:   pscale,
-		bal:      core.Balancer{Beta: cfg.Beta, FMax: cfg.FMax, FMaxes: fmaxes},
+		bal:      core.Balancer{Beta: env.Beta, FMax: env.FMax, FMaxes: fmaxes},
 		gears:    make([]dvfs.Gear, cfg.NGears),
 	}
-	nominal := dvfs.GearAt(cfg.FMax)
-	opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Ctx: cfg.Ctx}
+	nominal := dvfs.GearAt(env.FMax)
+	opts := env.Options(cfg.Ctx)
 	for i, tr := range cfg.Traces {
 		if err := machine.ValidateFor(tr.NumRanks()); err != nil {
 			return nil, stagerr.Wrap(stagerr.Validate, fmt.Errorf("gearopt: trace %d: %w", i, err))
@@ -295,21 +271,22 @@ func Optimize(cfg Config) (*Result, error) {
 }
 
 func optimize(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+	env, err := cfg.normalize()
+	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
-	s, err := newSearcher(cfg)
+	s, err := newSearcher(cfg, env)
 	if err != nil {
 		return nil, err
 	}
 
 	// Start from the uniform placement.
 	freqs := make([]float64, cfg.NGears)
-	step := (cfg.FMax - dvfs.FMin) / float64(cfg.NGears-1)
+	step := (env.FMax - dvfs.FMin) / float64(cfg.NGears-1)
 	for i := range freqs {
 		freqs[i] = dvfs.FMin + float64(i)*step
 	}
-	freqs[cfg.NGears-1] = cfg.FMax
+	freqs[cfg.NGears-1] = env.FMax
 	best, err := s.objective(freqs)
 	if err != nil {
 		return nil, err
@@ -360,7 +337,7 @@ func optimize(cfg Config) (*Result, error) {
 	// exact (the objective retimes the real execution), but re-deriving it
 	// through the analysis pipeline keeps the two code paths honest — the
 	// golden tests assert SearchEnergy == Energy bit-for-bit.
-	full, err := fullScore(cfg, set)
+	full, err := fullScore(cfg, env, set)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +345,7 @@ func optimize(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	uniformScore, err := fullScore(cfg, uniform)
+	uniformScore, err := fullScore(cfg, env, uniform)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +365,7 @@ func optimize(cfg Config) (*Result, error) {
 // read-only cache, so they are evaluated concurrently; the per-trace values
 // are summed in trace order, which keeps the result bit-deterministic, and
 // the first error in trace order wins (matching the serial loop).
-func fullScore(cfg Config, set *dvfs.Set) (float64, error) {
+func fullScore(cfg Config, env dimemas.Env, set *dvfs.Set) (float64, error) {
 	norms := make([]float64, len(cfg.Traces))
 	errs := make([]error, len(cfg.Traces))
 	var wg sync.WaitGroup
@@ -398,14 +375,13 @@ func fullScore(cfg Config, set *dvfs.Set) (float64, error) {
 			defer wg.Done()
 			res, err := analysis.Run(analysis.Config{
 				Trace:     tr,
-				Platform:  cfg.Platform,
-				Machine:   cfg.Machine,
+				Machine:   &env.Machine,
 				Power:     cfg.Power,
 				Set:       set,
 				Algorithm: core.MAX,
-				Beta:      cfg.Beta,
-				BetaSet:   cfg.BetaSet,
-				FMax:      cfg.FMax,
+				Beta:      env.Beta,
+				BetaSet:   true,
+				FMax:      env.FMax,
 				Cache:     cfg.Cache,
 				Ctx:       cfg.Ctx,
 			})

@@ -78,30 +78,18 @@ var (
 	ErrNoIterations  = errors.New("jitter: trace carries no iteration markers")
 )
 
-func (c *Config) normalize() error {
+func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Trace == nil {
-		return errors.New("jitter: config needs a trace")
+		return dimemas.Env{}, errors.New("jitter: config needs a trace")
 	}
 	if c.Set == nil {
-		return errors.New("jitter: config needs a gear set")
+		return dimemas.Env{}, errors.New("jitter: config needs a gear set")
 	}
 	if c.Set.Continuous() {
-		return ErrContinuousSet
-	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
+		return dimemas.Env{}, ErrContinuousSet
 	}
 	if c.Power == (power.Config{}) {
 		c.Power = power.DefaultConfig()
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.Beta < 0 || c.Beta > 1 {
-		return fmt.Errorf("jitter: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
 	}
 	if c.SlackDown == 0 {
 		c.SlackDown = 0.08
@@ -110,14 +98,15 @@ func (c *Config) normalize() error {
 		c.SlackUp = 0.02
 	}
 	if c.SlackUp >= c.SlackDown {
-		return fmt.Errorf("jitter: SlackUp %v must be below SlackDown %v", c.SlackUp, c.SlackDown)
+		return dimemas.Env{}, fmt.Errorf("jitter: SlackUp %v must be below SlackDown %v", c.SlackUp, c.SlackDown)
 	}
-	return nil
+	return dimemas.NewEnv(c.Platform, nil, c.Beta, c.BetaSet, c.FMax, c.Trace.NumRanks())
 }
 
 // Run emulates the runtime over the whole trace.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+	env, err := cfg.normalize()
+	if err != nil {
 		return nil, err
 	}
 	iters := cfg.Trace.Iterations()
@@ -139,7 +128,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Iterations: iters, FinalGears: make([]dvfs.Gear, n)}
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(env.FMax)
 
 	for it := 0; it < iters; it++ {
 		sub, err := cfg.Trace.Slice(it, it+1)
@@ -147,7 +136,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		// Original (profiling) replay of this iteration at fmax.
-		orig, err := cfg.Cache.OriginalSlice(cfg.Trace, it, sub, cfg.Platform, dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax})
+		orig, err := cfg.Cache.OriginalSlice(cfg.Trace, it, sub, env.Machine, env.Options(nil))
 		if err != nil {
 			return nil, fmt.Errorf("jitter: iteration %d original replay: %w", it, err)
 		}
@@ -167,7 +156,9 @@ func Run(cfg Config) (*Result, error) {
 		for r := 0; r < n; r++ {
 			freqs[r] = gears[idx[r]].Freq
 		}
-		adapt, err := dimemas.Simulate(sub, cfg.Platform, dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Freqs: freqs})
+		opts := env.Options(nil)
+		opts.Freqs = freqs
+		adapt, err := dimemas.SimulateMachine(sub, env.Machine, opts)
 		if err != nil {
 			return nil, fmt.Errorf("jitter: iteration %d adaptive replay: %w", it, err)
 		}
@@ -206,8 +197,8 @@ func Run(cfg Config) (*Result, error) {
 					// still fits inside the iteration with margin.
 					// Without this, ranks near the critical path oscillate
 					// between gears and stretch the run.
-					cur := timemodel.Slowdown(cfg.Beta, cfg.FMax, gears[idx[r]].Freq)
-					next := timemodel.Slowdown(cfg.Beta, cfg.FMax, gears[idx[r]-1].Freq)
+					cur := timemodel.Slowdown(env.Beta, env.FMax, gears[idx[r]].Freq)
+					next := timemodel.Slowdown(env.Beta, env.FMax, gears[idx[r]-1].Freq)
 					predicted := adapt.Compute[r] * next / cur
 					if predicted < adapt.Time*(1-cfg.SlackUp) {
 						idx[r]--

@@ -65,34 +65,23 @@ type Result struct {
 // ErrNoPhases reports a trace without computation phases.
 var ErrNoPhases = errors.New("phased: trace has no computation phases")
 
-func (c *Config) normalize() error {
+func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Trace == nil {
-		return errors.New("phased: config needs a trace")
+		return dimemas.Env{}, errors.New("phased: config needs a trace")
 	}
 	if c.Set == nil {
-		return core.ErrNilSet
-	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
+		return dimemas.Env{}, core.ErrNilSet
 	}
 	if c.Power == (power.Config{}) {
 		c.Power = power.DefaultConfig()
 	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.Beta < 0 || c.Beta > 1 {
-		return fmt.Errorf("phased: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	return nil
+	return dimemas.NewEnv(c.Platform, nil, c.Beta, c.BetaSet, c.FMax, c.Trace.NumRanks())
 }
 
 // Run performs the per-phase MAX analysis.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+	env, err := cfg.normalize()
+	if err != nil {
 		return nil, err
 	}
 	pm, err := power.New(cfg.Power)
@@ -101,11 +90,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Original execution at fmax.
-	orig, err := cfg.Cache.Original(cfg.Trace, cfg.Platform, dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax})
+	orig, err := cfg.Cache.OriginalMachine(cfg.Trace, env.Machine, env.Options(nil))
 	if err != nil {
 		return nil, fmt.Errorf("phased: original replay: %w", err)
 	}
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(env.FMax)
 	n := cfg.Trace.NumRanks()
 	origUsage := make([]power.Usage, n)
 	for r := 0; r < n; r++ {
@@ -121,7 +110,7 @@ func Run(cfg Config) (*Result, error) {
 	if len(phases) == 0 {
 		return nil, ErrNoPhases
 	}
-	balancer := &core.Balancer{Set: cfg.Set, Beta: cfg.Beta, FMax: cfg.FMax}
+	balancer := &core.Balancer{Set: cfg.Set, Beta: env.Beta, FMax: env.FMax}
 	gears := make([][]dvfs.Gear, len(phases))
 	for p, comp := range phases {
 		a, err := balancer.Assign(core.MAX, comp)
@@ -138,9 +127,9 @@ func Run(cfg Config) (*Result, error) {
 		if phase >= len(gears) {
 			phase = len(gears) - 1
 		}
-		return timemodel.Slowdown(cfg.Beta, cfg.FMax, gears[phase][rank].Freq)
+		return timemodel.Slowdown(env.Beta, env.FMax, gears[phase][rank].Freq)
 	})
-	next, err := dimemas.Simulate(scaled, cfg.Platform, dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax})
+	next, err := dimemas.SimulateMachine(scaled, env.Machine, env.Options(nil))
 	if err != nil {
 		return nil, fmt.Errorf("phased: DVFS replay: %w", err)
 	}

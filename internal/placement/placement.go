@@ -18,13 +18,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dimemas"
-	"repro/internal/dvfs"
 	"repro/internal/stagerr"
-	"repro/internal/timemodel"
 	"repro/internal/trace"
 )
 
@@ -76,39 +73,24 @@ var (
 	ErrNoTopology = errors.New("placement: machine has no topology layer")
 )
 
-func (c *Config) normalize() error {
+func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Trace == nil {
-		return ErrNilTrace
+		return dimemas.Env{}, ErrNilTrace
 	}
 	if c.Machine.Topo == nil {
-		return ErrNoTopology
-	}
-	if c.Beta < 0 || c.Beta > 1 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("placement: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	if c.FMax < 0 {
-		return fmt.Errorf("placement: negative fmax %v", c.FMax)
+		return dimemas.Env{}, ErrNoTopology
 	}
 	if c.MaxPasses == 0 {
 		c.MaxPasses = 4
 	}
 	if c.MaxPasses < 0 {
-		return fmt.Errorf("placement: negative max passes %d", c.MaxPasses)
+		return dimemas.Env{}, fmt.Errorf("placement: negative max passes %d", c.MaxPasses)
 	}
 	n := c.Trace.NumRanks()
 	if c.Freqs != nil && len(c.Freqs) != n {
-		return fmt.Errorf("placement: %d frequencies for %d ranks", len(c.Freqs), n)
+		return dimemas.Env{}, fmt.Errorf("placement: %d frequencies for %d ranks", len(c.Freqs), n)
 	}
-	if err := c.Machine.ValidateFor(n); err != nil {
-		return err
-	}
-	return nil
+	return dimemas.NewEnv(dimemas.Platform{}, &c.Machine, c.Beta, c.BetaSet, c.FMax, n)
 }
 
 // Optimize runs the pairwise-swap local search and returns the best
@@ -124,20 +106,22 @@ func Optimize(cfg Config) (*Result, error) {
 }
 
 func optimize(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+	env, err := cfg.normalize()
+	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
 
 	// Private working copy: the search mutates cand.Topo.Placement in place
 	// and must not leak writes into the caller's machine.
-	cand := cfg.Machine
-	topo := *cfg.Machine.Topo
-	topo.Placement = append([]int(nil), cfg.Machine.Topo.Placement...)
+	cand := env.Machine
+	topo := *cand.Topo
+	topo.Placement = append([]int(nil), topo.Placement...)
 	cand.Topo = &topo
 	pl := topo.Placement
 	n := len(pl)
 
-	opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Freqs: cfg.Freqs, Ctx: cfg.Ctx}
+	opts := env.Options(cfg.Ctx)
+	opts.Freqs = cfg.Freqs
 	evals := 0
 	score := func() (float64, error) {
 		if cfg.Ctx != nil {

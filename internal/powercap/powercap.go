@@ -211,68 +211,36 @@ var (
 	ErrCapInfeasible = errors.New("powercap: cap infeasible")
 )
 
-func (c *Config) normalize() error {
+func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Trace == nil {
-		return ErrNilTrace
+		return dimemas.Env{}, ErrNilTrace
 	}
 	if c.Set == nil {
-		return ErrNilSet
+		return dimemas.Env{}, ErrNilSet
 	}
 	if c.Set.Continuous() {
-		return fmt.Errorf("%w, got %s", ErrContinuousSet, c.Set.Name())
+		return dimemas.Env{}, fmt.Errorf("%w, got %s", ErrContinuousSet, c.Set.Name())
 	}
 	if c.Cap <= 0 || math.IsNaN(c.Cap) || math.IsInf(c.Cap, 0) {
-		return fmt.Errorf("powercap: cap must be positive and finite, got %v", c.Cap)
+		return dimemas.Env{}, fmt.Errorf("powercap: cap must be positive and finite, got %v", c.Cap)
 	}
 	if c.Kind < CapPeak || c.Kind > maxCapKind {
-		return fmt.Errorf("powercap: unknown cap kind %d", int(c.Kind))
-	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
+		return dimemas.Env{}, fmt.Errorf("powercap: unknown cap kind %d", int(c.Kind))
 	}
 	if c.Power == (power.Config{}) {
 		c.Power = power.DefaultConfig()
 	}
-	if c.Beta < 0 || c.Beta > 1 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("powercap: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	if c.FMax < 0 {
-		return fmt.Errorf("powercap: negative fmax %v", c.FMax)
-	}
 	if c.MaxMoves < 0 {
-		return fmt.Errorf("powercap: negative max moves %d", c.MaxMoves)
+		return dimemas.Env{}, fmt.Errorf("powercap: negative max moves %d", c.MaxMoves)
 	}
-	return nil
-}
-
-// machine resolves the layered machine the run schedules for: the explicit
-// Machine when configured (inheriting the normalized Platform into a zero
-// Base), the flat homogeneous machine otherwise. Call after normalize.
-func (c *Config) machine() (dimemas.Machine, error) {
-	if c.Machine == nil {
-		return dimemas.FlatMachine(c.Platform), nil
-	}
-	m := *c.Machine
-	if m.Base == (dimemas.Platform{}) {
-		m.Base = c.Platform
-	}
-	if err := m.ValidateFor(c.Trace.NumRanks()); err != nil {
-		return dimemas.Machine{}, err
-	}
-	return m, nil
+	return dimemas.NewEnv(c.Platform, c.Machine, c.Beta, c.BetaSet, c.FMax, c.Trace.NumRanks())
 }
 
 // scheduler carries one run's state: the frequency-independent inputs, the
 // per-gear constants, and the reusable evaluation buffers.
 type scheduler struct {
 	cfg      *Config
-	machine  dimemas.Machine
+	env      dimemas.Env
 	pm       *power.Model
 	gears    []dvfs.Gear // ascending
 	pComp    []float64   // per gear: compute-phase power
@@ -304,19 +272,15 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func run(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+	env, err := cfg.normalize()
+	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
 	pm, err := power.New(cfg.Power)
 	if err != nil {
 		return nil, err
 	}
-	machine, err := cfg.machine()
-	if err != nil {
-		return nil, stagerr.Wrap(stagerr.Validate, err)
-	}
-
-	opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Ctx: cfg.Ctx}
+	opts := env.Options(cfg.Ctx)
 	tlOpts := opts
 	tlOpts.RecordTimeline = true
 	var (
@@ -324,19 +288,19 @@ func run(cfg Config) (*Result, error) {
 		skel *dimemas.Skeleton
 	)
 	if cfg.FreshReplays {
-		base, err = dimemas.SimulateMachine(cfg.Trace, machine, tlOpts)
+		base, err = dimemas.SimulateMachine(cfg.Trace, env.Machine, tlOpts)
 		if err != nil {
 			return nil, fmt.Errorf("powercap: baseline replay: %w", err)
 		}
 	} else {
-		skel, err = cfg.Cache.SkeletonForMachine(cfg.Trace, machine, opts)
+		skel, err = cfg.Cache.SkeletonForMachine(cfg.Trace, env.Machine, opts)
 		if err != nil {
 			return nil, fmt.Errorf("powercap: timing skeleton: %w", err)
 		}
 		// The timeline baseline doubles as the uncapped reference and the
 		// slack-ordering source; through a cache it is shared across every
 		// row of a cap sweep.
-		base, err = cfg.Cache.OriginalMachine(cfg.Trace, machine, tlOpts)
+		base, err = cfg.Cache.OriginalMachine(cfg.Trace, env.Machine, tlOpts)
 		if err != nil {
 			return nil, fmt.Errorf("powercap: baseline replay: %w", err)
 		}
@@ -346,7 +310,7 @@ func run(cfg Config) (*Result, error) {
 	gears := cfg.Set.Gears()
 	s := &scheduler{
 		cfg:      &cfg,
-		machine:  machine,
+		env:      env,
 		pm:       pm,
 		gears:    gears,
 		pComp:    make([]float64, len(gears)),
@@ -365,13 +329,13 @@ func run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("powercap: invalid gear %v in set %s", g, cfg.Set.Name())
 		}
 		s.pComp[gi] = pm.Power(power.Compute, g)
-		s.sd[gi] = timemodel.Slowdown(cfg.Beta, cfg.FMax, g.Freq)
+		s.sd[gi] = timemodel.Slowdown(env.Beta, env.FMax, g.Freq)
 	}
-	if cap := machine.Cap; cap != nil {
+	if cap := env.Machine.Cap; cap != nil {
 		if cap.PowerScale != nil {
 			s.pscale = make([]float64, n)
 			for r := range s.pscale {
-				s.pscale[r] = machine.RankPowerScale(r)
+				s.pscale[r] = env.Machine.RankPowerScale(r)
 			}
 		}
 		if cap.FMax != nil {
@@ -381,7 +345,7 @@ func run(cfg Config) (*Result, error) {
 			s.maxGi = make([]int, n)
 			for r := range s.maxGi {
 				s.maxGi[r] = len(gears) - 1
-				if f := machine.RankFMax(r, 0); f > 0 {
+				if f := env.Machine.RankFMax(r, 0); f > 0 {
 					gi := len(gears) - 1
 					for gi > 0 && gears[gi].Freq > f+1e-12 {
 						gi--
@@ -393,7 +357,7 @@ func run(cfg Config) (*Result, error) {
 	}
 
 	// Uncapped reference: every rank at the nominal FMax gear.
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(env.FMax)
 	nomGears := make([]dvfs.Gear, n)
 	for r := range nomGears {
 		nomGears[r] = nominal
@@ -462,8 +426,9 @@ func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
 	}
 	res := &s.res
 	if s.cfg.FreshReplays {
-		opts := dimemas.Options{Beta: s.cfg.Beta, FMax: s.cfg.FMax, Freqs: s.freqs, Ctx: s.cfg.Ctx}
-		fresh, err := dimemas.SimulateMachine(s.cfg.Trace, s.machine, opts)
+		opts := s.env.Options(s.cfg.Ctx)
+		opts.Freqs = s.freqs
+		fresh, err := dimemas.SimulateMachine(s.cfg.Trace, s.env.Machine, opts)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -788,8 +753,9 @@ func (s *scheduler) finish(policy Policy, idx []int, ref RefStats) (*Schedule, e
 		err error
 	)
 	if s.cfg.FreshReplays {
-		opts := dimemas.Options{Beta: s.cfg.Beta, FMax: s.cfg.FMax, Freqs: freqs, RecordTimeline: true, Ctx: s.cfg.Ctx}
-		res, err = dimemas.SimulateMachine(s.cfg.Trace, s.machine, opts)
+		opts := s.env.Options(s.cfg.Ctx)
+		opts.Freqs, opts.RecordTimeline = freqs, true
+		res, err = dimemas.SimulateMachine(s.cfg.Trace, s.env.Machine, opts)
 	} else {
 		res, err = s.skel.Retime(freqs, true)
 	}

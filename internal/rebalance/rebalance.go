@@ -44,7 +44,7 @@
 //     not just gears, move ahead of the drift).
 //
 // Every simulated iteration is exact: the base iteration's timing skeleton
-// is recorded once (dimemas.ReplayCache.SkeletonForSlice) and each
+// is recorded once (dimemas.ReplayCache.SkeletonForSliceMachine) and each
 // (gear vector, drift factors) combination is replayed with
 // Skeleton.RetimeScaled — bit-identical to freshly simulating the drifted
 // trace (Config.FreshReplays does exactly that, as a cross-check and a
@@ -314,67 +314,52 @@ var (
 	ErrPredictWithoutPolicy = errors.New("rebalance: predict config applies only to the predictive policies")
 )
 
-func (c *Config) normalize() error {
+func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Trace == nil {
-		return ErrNilTrace
+		return dimemas.Env{}, ErrNilTrace
 	}
 	if c.Set == nil {
-		return core.ErrNilSet
-	}
-	if c.Platform == (dimemas.Platform{}) {
-		c.Platform = dimemas.DefaultPlatform()
+		return dimemas.Env{}, core.ErrNilSet
 	}
 	if c.Power == (power.Config{}) {
 		c.Power = power.DefaultConfig()
-	}
-	if c.Beta < 0 || c.Beta > 1 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("rebalance: beta %v outside [0, 1]", c.Beta)
-	}
-	if c.Beta == 0 && !c.BetaSet {
-		c.Beta = timemodel.DefaultBeta
-	}
-	if c.FMax == 0 {
-		c.FMax = dvfs.FMax
-	}
-	if c.FMax < 0 {
-		return fmt.Errorf("rebalance: negative fmax %v", c.FMax)
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 20
 	}
 	if c.Iterations < 0 {
-		return fmt.Errorf("rebalance: negative iterations %d", c.Iterations)
+		return dimemas.Env{}, fmt.Errorf("rebalance: negative iterations %d", c.Iterations)
 	}
 	if c.Policy < PolicyNever || c.Policy > maxPolicy {
-		return fmt.Errorf("rebalance: unknown policy %d", int(c.Policy))
+		return dimemas.Env{}, fmt.Errorf("rebalance: unknown policy %d", int(c.Policy))
 	}
 	if c.Period == 0 {
 		c.Period = 1
 	}
 	if c.Period < 0 {
-		return fmt.Errorf("rebalance: negative period %d", c.Period)
+		return dimemas.Env{}, fmt.Errorf("rebalance: negative period %d", c.Period)
 	}
 	if c.Threshold == 0 {
 		c.Threshold = 0.05
 	}
 	if c.Threshold < 0 || c.Threshold >= 1 || math.IsNaN(c.Threshold) {
-		return fmt.Errorf("rebalance: threshold %v outside (0, 1)", c.Threshold)
+		return dimemas.Env{}, fmt.Errorf("rebalance: threshold %v outside (0, 1)", c.Threshold)
 	}
 	if c.Hysteresis == 0 {
 		c.Hysteresis = 2
 	}
 	if c.Hysteresis < 0 {
-		return fmt.Errorf("rebalance: negative hysteresis %d", c.Hysteresis)
+		return dimemas.Env{}, fmt.Errorf("rebalance: negative hysteresis %d", c.Hysteresis)
 	}
 	if c.Policy.capped() {
 		if c.Cap <= 0 || math.IsNaN(c.Cap) || math.IsInf(c.Cap, 0) {
-			return ErrCapRequired
+			return dimemas.Env{}, ErrCapRequired
 		}
 		if c.Set.Continuous() {
-			return fmt.Errorf("rebalance: %s policy needs a discrete gear set, got %s", c.Policy, c.Set.Name())
+			return dimemas.Env{}, fmt.Errorf("rebalance: %s policy needs a discrete gear set, got %s", c.Policy, c.Set.Name())
 		}
 	} else if c.Cap != 0 {
-		return ErrCapWithoutPolicy
+		return dimemas.Env{}, ErrCapWithoutPolicy
 	}
 	if c.Policy.predictive() {
 		if c.Predict == (predict.Config{}) {
@@ -384,33 +369,33 @@ func (c *Config) normalize() error {
 			c.Horizon = 3
 		}
 		if c.Horizon < 0 {
-			return fmt.Errorf("rebalance: negative horizon %d", c.Horizon)
+			return dimemas.Env{}, fmt.Errorf("rebalance: negative horizon %d", c.Horizon)
 		}
 	} else {
 		if c.Predict != (predict.Config{}) {
-			return ErrPredictWithoutPolicy
+			return dimemas.Env{}, ErrPredictWithoutPolicy
 		}
 		if c.Horizon != 0 {
-			return fmt.Errorf("rebalance: horizon applies only to the predictive policies, got %d", c.Horizon)
+			return dimemas.Env{}, fmt.Errorf("rebalance: horizon applies only to the predictive policies, got %d", c.Horizon)
 		}
 	}
 	if c.Margin < 0 || c.Margin >= 1 || math.IsNaN(c.Margin) {
-		return fmt.Errorf("rebalance: margin %v outside [0, 1)", c.Margin)
+		return dimemas.Env{}, fmt.Errorf("rebalance: margin %v outside [0, 1)", c.Margin)
 	}
 	if c.ReassignOverhead < 0 || math.IsNaN(c.ReassignOverhead) || math.IsInf(c.ReassignOverhead, 0) {
-		return fmt.Errorf("rebalance: reassign overhead must be finite and non-negative, got %v", c.ReassignOverhead)
+		return dimemas.Env{}, fmt.Errorf("rebalance: reassign overhead must be finite and non-negative, got %v", c.ReassignOverhead)
 	}
 	if err := c.Drift.Validate(); err != nil {
-		return err
+		return dimemas.Env{}, err
 	}
-	return nil
+	return dimemas.NewEnv(c.Platform, c.Machine, c.Beta, c.BetaSet, c.FMax, c.Trace.NumRanks())
 }
 
 // loop carries one run's state.
 type loop struct {
 	cfg      *Config
 	pm       *power.Model
-	machine  dimemas.Machine
+	env      dimemas.Env
 	base     *trace.Trace // the base iteration (iteration 0 of cfg.Trace)
 	skel     *dimemas.Skeleton
 	gears    []dvfs.Gear
@@ -450,7 +435,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func run(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
+	env, err := cfg.normalize()
+	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Validate, err)
 	}
 	if cfg.Trace.Iterations() == 0 {
@@ -465,34 +451,24 @@ func run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	n := base.NumRanks()
-	machine := dimemas.FlatMachine(cfg.Platform)
-	if cfg.Machine != nil {
-		machine = *cfg.Machine
-		if machine.Base == (dimemas.Platform{}) {
-			machine.Base = cfg.Platform
-		}
-		if err := machine.ValidateFor(n); err != nil {
-			return nil, stagerr.Wrap(stagerr.Validate, err)
-		}
-	}
-	opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Ctx: cfg.Ctx}
+	opts := env.Options(cfg.Ctx)
 
 	l := &loop{
 		cfg:      &cfg,
 		pm:       pm,
-		machine:  machine,
+		env:      env,
 		base:     base,
 		freqs:    make([]float64, n),
 		sd:       make([]float64, n),
 		chat:     make([]float64, n),
 		c0:       base.ComputeTimes(),
-		capScale: machine.ScaleVector(),
+		capScale: env.Machine.ScaleVector(),
 		usage:    make([]power.Usage, n),
 	}
-	if machine.Cap != nil && machine.Cap.PowerScale != nil {
+	if env.Machine.Cap != nil && env.Machine.Cap.PowerScale != nil {
 		l.pscale = make([]float64, n)
 		for r := range l.pscale {
-			l.pscale[r] = machine.RankPowerScale(r)
+			l.pscale[r] = env.Machine.RankPowerScale(r)
 		}
 	}
 	if cfg.Policy.predictive() {
@@ -504,7 +480,7 @@ func run(cfg Config) (*Result, error) {
 		l.fcomp = make([]float64, n)
 	}
 	if !cfg.FreshReplays {
-		l.skel, err = cfg.Cache.SkeletonForSliceMachine(cfg.Trace, 0, base, machine, opts)
+		l.skel, err = cfg.Cache.SkeletonForSliceMachine(cfg.Trace, 0, base, env.Machine, opts)
 		if err != nil {
 			return nil, fmt.Errorf("rebalance: base-iteration skeleton: %w", err)
 		}
@@ -518,7 +494,7 @@ func run(cfg Config) (*Result, error) {
 	// Initial gears: the profiling iteration runs at the nominal top
 	// frequency — except under a cap, which must hold from the first
 	// iteration: the cold start is the blind governor's uniform downshift.
-	nominal := dvfs.GearAt(cfg.FMax)
+	nominal := dvfs.GearAt(env.FMax)
 	nomGears := make([]dvfs.Gear, n)
 	l.gears = make([]dvfs.Gear, n)
 	for r := range l.gears {
@@ -727,7 +703,7 @@ func run(cfg Config) (*Result, error) {
 func (l *loop) syncGearState() {
 	for r, g := range l.gears {
 		l.freqs[r] = g.Freq
-		l.sd[r] = timemodel.Slowdown(l.cfg.Beta, l.cfg.FMax, g.Freq)
+		l.sd[r] = timemodel.Slowdown(l.env.Beta, l.env.FMax, g.Freq)
 	}
 }
 
@@ -738,14 +714,15 @@ func (l *loop) replay(scale []float64) (exec, ref *dimemas.Result, err error) {
 	cfg := l.cfg
 	if cfg.FreshReplays {
 		drifted := l.base.ScaleCompute(func(r int, _ trace.Record) float64 { return scale[r] })
-		opts := dimemas.Options{Beta: cfg.Beta, FMax: cfg.FMax, Freqs: l.freqs, RecordTimeline: cfg.ExactPeaks, Ctx: cfg.Ctx}
-		exec, err = dimemas.SimulateMachine(drifted, l.machine, opts)
+		opts := l.env.Options(cfg.Ctx)
+		opts.Freqs, opts.RecordTimeline = l.freqs, cfg.ExactPeaks
+		exec, err = dimemas.SimulateMachine(drifted, l.env.Machine, opts)
 		if err != nil {
 			return nil, nil, err
 		}
 		opts.Freqs = nil
 		opts.RecordTimeline = false
-		ref, err = dimemas.SimulateMachine(drifted, l.machine, opts)
+		ref, err = dimemas.SimulateMachine(drifted, l.env.Machine, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -798,10 +775,10 @@ func (l *loop) solve() ([]dvfs.Gear, error) {
 		return l.solveCapped(loads)
 	}
 	var fmaxes []float64
-	if l.machine.Cap != nil {
-		fmaxes = l.machine.Cap.FMax
+	if l.env.Machine.Cap != nil {
+		fmaxes = l.env.Machine.Cap.FMax
 	}
-	balancer := &core.Balancer{Set: cfg.Set, Beta: cfg.Beta, FMax: cfg.FMax, Margin: cfg.Margin, FMaxes: fmaxes}
+	balancer := &core.Balancer{Set: cfg.Set, Beta: l.env.Beta, FMax: l.env.FMax, Margin: cfg.Margin, FMaxes: fmaxes}
 	a, err := balancer.Assign(cfg.Algorithm, loads)
 	if err != nil {
 		return nil, err
@@ -830,16 +807,15 @@ func (l *loop) solveCapped(loads []float64) ([]dvfs.Gear, error) {
 		return f
 	})
 	res, err := powercap.Run(powercap.Config{
-		Trace:    obs,
-		Platform: cfg.Platform,
-		Machine:  cfg.Machine,
-		Power:    cfg.Power,
-		Set:      cfg.Set,
-		Cap:      cfg.Cap,
-		Kind:     powercap.CapPeak,
-		Beta:     cfg.Beta,
-		BetaSet:  true,
-		FMax:     cfg.FMax,
+		Trace:   obs,
+		Machine: &l.env.Machine,
+		Power:   cfg.Power,
+		Set:     cfg.Set,
+		Cap:     cfg.Cap,
+		Kind:    powercap.CapPeak,
+		Beta:    l.env.Beta,
+		BetaSet: true,
+		FMax:    l.env.FMax,
 		// Under FreshReplays the whole loop — including every re-solve's
 		// candidate scoring — runs on fresh Simulate calls; results are
 		// bit-identical either way (powercap's own guarantee).
@@ -864,7 +840,7 @@ func (l *loop) cappedColdStart() error {
 	ceil := make([]int, n)
 	for r := range ceil {
 		ceil[r] = len(gears) - 1
-		if f := l.machine.RankFMax(r, 0); f > 0 {
+		if f := l.env.Machine.RankFMax(r, 0); f > 0 {
 			gi := len(gears) - 1
 			for gi > 0 && gears[gi].Freq > f+1e-12 {
 				gi--

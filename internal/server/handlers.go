@@ -22,7 +22,7 @@ import (
 // cache when the handler itself re-evaluates the trace, built lazily so
 // the common generated-workload path allocates nothing) or nil for
 // one-shot pipelines.
-func (s *Server) cacheFor(local func() *dimemas.ReplayCache, specs ...TraceSpec) *dimemas.ReplayCache {
+func (s *Server) cacheFor(local func() *dimemas.ReplayCache, specs ...TraceRef) *dimemas.ReplayCache {
 	for _, spec := range specs {
 		if spec.Text != "" {
 			if local == nil {
@@ -72,19 +72,16 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		opts, err := req.options(ctx)
+		env, err := s.env(&req.GearSpec, req.Platform, tr.NumRanks())
 		if err != nil {
 			return nil, err
 		}
+		opts := env.Options(ctx)
 		if len(req.Freqs) > 0 {
 			if len(req.Freqs) != tr.NumRanks() {
 				return nil, errFreqCount(len(req.Freqs), tr.NumRanks())
 			}
 			opts.Freqs = req.Freqs
-		}
-		machine, err := req.Platform.machineFor(s.platform, tr.NumRanks())
-		if err != nil {
-			return nil, err
 		}
 		// Replay retimes explicit gear vectors off the memoized timing
 		// skeleton (bit-identical to a fresh simulation) and memoizes the
@@ -93,7 +90,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		// machine fingerprint, so per-request platform overrides never
 		// collide with the default-machine entries.
 		res, err := span(s, stagerr.Retime, func() (*dimemas.Result, error) {
-			return s.cacheFor(nil, req.Trace).ReplayMachine(tr, machine, opts)
+			return s.cacheFor(nil, req.Trace).ReplayMachine(tr, env.Machine, opts)
 		})
 		if err != nil {
 			return nil, err
@@ -127,25 +124,20 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
-			return nil, err
-		}
-		platform, machine, err := req.Platform.resolve(s.platform, tr.NumRanks())
+		env, err := s.env(&req.GearSpec, req.Platform, tr.NumRanks())
 		if err != nil {
 			return nil, err
 		}
 		res, err := span(s, stagerr.Optimize, func() (*analysis.Result, error) {
 			return analysis.Run(analysis.Config{
 				Trace:     tr,
-				Platform:  platform,
-				Machine:   machine,
+				Machine:   &env.Machine,
 				Power:     s.power,
 				Set:       set,
 				Algorithm: algo,
-				Beta:      beta,
-				BetaSet:   betaSet,
-				FMax:      req.FMax,
+				Beta:      env.Beta,
+				BetaSet:   true,
+				FMax:      env.FMax,
 				Cache:     s.cacheFor(nil, req.Trace),
 				Ctx:       ctx,
 			})
@@ -185,11 +177,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
-			return nil, err
-		}
-		platform, machine, err := req.Platform.resolve(s.platform, tr.NumRanks())
+		env, err := s.env(&req.GearSpec, req.Platform, tr.NumRanks())
 		if err != nil {
 			return nil, err
 		}
@@ -223,13 +211,12 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			bo, err := span(s, stagerr.Optimize, func() (batchOut, error) {
 				results, errs, err := analysis.RunBatch(analysis.Config{
-					Trace:    tr,
-					Platform: platform,
-					Machine:  machine,
-					Power:    s.power,
-					Beta:     beta,
-					BetaSet:  betaSet,
-					FMax:     req.FMax,
+					Trace:   tr,
+					Machine: &env.Machine,
+					Power:   s.power,
+					Beta:    env.Beta,
+					BetaSet: true,
+					FMax:    env.FMax,
 					// An inline trace still shares its baseline + skeleton
 					// across the batch's items — through a request-local cache
 					// rather than the daemon's LRU, whose entries it could
@@ -296,11 +283,7 @@ func (s *Server) handleGearOpt(w http.ResponseWriter, r *http.Request) {
 		if ngears > MaxGears {
 			return nil, errGearCount(ngears)
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
-			return nil, err
-		}
-		platform, machine, err := req.Platform.resolve(s.platform, traces[0].NumRanks())
+		env, err := s.env(&req.GearSpec, req.Platform, traces[0].NumRanks())
 		if err != nil {
 			return nil, err
 		}
@@ -308,12 +291,11 @@ func (s *Server) handleGearOpt(w http.ResponseWriter, r *http.Request) {
 			return gearopt.Optimize(gearopt.Config{
 				Traces:    traces,
 				NGears:    ngears,
-				Platform:  platform,
-				Machine:   machine,
+				Machine:   &env.Machine,
 				Power:     s.power,
-				Beta:      beta,
-				BetaSet:   betaSet,
-				FMax:      req.FMax,
+				Beta:      env.Beta,
+				BetaSet:   true,
+				FMax:      env.FMax,
 				Grid:      req.Grid,
 				MaxRounds: req.MaxRounds,
 				// A search over any inline trace shares its replays within the
@@ -362,26 +344,21 @@ func (s *Server) handlePowercap(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
-			return nil, err
-		}
-		platform, machine, err := req.Platform.resolve(s.platform, tr.NumRanks())
+		env, err := s.env(&req.GearSpec, req.Platform, tr.NumRanks())
 		if err != nil {
 			return nil, err
 		}
 		res, err := span(s, stagerr.Powercap, func() (*powercap.Result, error) {
 			return powercap.Run(powercap.Config{
 				Trace:    tr,
-				Platform: platform,
-				Machine:  machine,
+				Machine:  &env.Machine,
 				Power:    s.power,
 				Set:      set,
 				Cap:      req.Cap,
 				Kind:     kind,
-				Beta:     beta,
-				BetaSet:  betaSet,
-				FMax:     req.FMax,
+				Beta:     env.Beta,
+				BetaSet:  true,
+				FMax:     env.FMax,
 				MaxMoves: req.MaxMoves,
 				// Inline traces share their skeleton within the request only;
 				// generated workloads hit the daemon's LRU.
@@ -445,25 +422,20 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		beta, betaSet, err := req.betaArg()
-		if err != nil {
-			return nil, err
-		}
-		platform, machine, err := req.Platform.resolve(s.platform, tr.NumRanks())
+		env, err := s.env(&req.GearSpec, req.Platform, tr.NumRanks())
 		if err != nil {
 			return nil, err
 		}
 		res, err := span(s, stagerr.Rebalance, func() (*rebalance.Result, error) {
 			return rebalance.Run(rebalance.Config{
 				Trace:            tr,
-				Platform:         platform,
-				Machine:          machine,
+				Machine:          &env.Machine,
 				Power:            s.power,
 				Set:              set,
 				Algorithm:        algo,
-				Beta:             beta,
-				BetaSet:          betaSet,
-				FMax:             req.FMax,
+				Beta:             env.Beta,
+				BetaSet:          true,
+				FMax:             env.FMax,
 				Iterations:       req.Iterations,
 				Drift:            drift,
 				Policy:           policy,

@@ -32,8 +32,15 @@ func requestID(ctx context.Context) string {
 	return id
 }
 
-// newRequestID returns a fresh 16-hex-digit random ID.
-func newRequestID() string {
+// RequestIDFor applies the fleet's request-ID rule to an inbound
+// X-Request-ID value: a short, plain token — 1..64 bytes of [A-Za-z0-9._-] —
+// is kept; anything else, including an absent header, is replaced by a fresh
+// 16-hex-digit random ID. The daemon and the gateway both assign IDs through
+// it, so a request entering the fleet at either tier keeps one ID end to end.
+func RequestIDFor(inbound string) string {
+	if validRequestID(inbound) {
+		return inbound
+	}
 	var b [8]byte
 	// crypto/rand.Read never fails on supported platforms; a zero ID is
 	// still a valid (if degenerate) correlation token.
@@ -41,12 +48,10 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// sanitizeRequestID accepts an inbound ID only if it is a short, plain
-// token: 1..64 bytes of [A-Za-z0-9._-]. Anything else returns "" and the
-// server assigns its own.
-func sanitizeRequestID(id string) string {
+// validRequestID reports whether an inbound ID is a short, plain token.
+func validRequestID(id string) bool {
 	if len(id) == 0 || len(id) > maxRequestIDLen {
-		return ""
+		return false
 	}
 	for i := 0; i < len(id); i++ {
 		c := id[i]
@@ -54,10 +59,10 @@ func sanitizeRequestID(id string) string {
 		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
 		case c == '-', c == '_', c == '.':
 		default:
-			return ""
+			return false
 		}
 	}
-	return id
+	return true
 }
 
 // withLifecycle is the root middleware every route (including /healthz and
@@ -67,10 +72,7 @@ func sanitizeRequestID(id string) string {
 // daemon's connection (or, worse, the process).
 func (s *Server) withLifecycle(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get(RequestIDHeader))
-		if id == "" {
-			id = newRequestID()
-		}
+		id := RequestIDFor(r.Header.Get(RequestIDHeader))
 		w.Header().Set(RequestIDHeader, id)
 		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}

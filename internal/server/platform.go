@@ -61,44 +61,42 @@ type PlatformSpec struct {
 	Capability *CapabilitySpec `json:"capability,omitempty"`
 }
 
-// resolve builds the effective base platform and the optional layered
-// machine of a request for an nranks-rank trace. The machine pointer is nil
-// when the spec carries no topology/capability layer — handlers then run
-// the flat pipeline (possibly with overridden scalars), keeping the
-// homogeneous fast path and its cache keys. Validation happens here, so a
-// bad spec fails with a validate-stage error before any simulation starts.
-func (p *PlatformSpec) resolve(base dimemas.Platform, nranks int) (dimemas.Platform, *dimemas.Machine, error) {
-	eff := base
+// machine builds the layered machine of a request for an nranks-rank trace
+// over the daemon's base platform. An absent spec, or one with scalar
+// overrides only, is the flat machine — the homogeneous fast path with its
+// cache keys. An invalid base and structural problems fail here with a
+// validate-stage error; the layers' bounds are checked when Server.env
+// resolves the model through dimemas.NewEnv.
+func (p *PlatformSpec) machine(base dimemas.Platform, nranks int) (dimemas.Machine, error) {
+	m := dimemas.FlatMachine(base)
 	if p == nil {
-		return eff, nil, nil
+		return m, nil
 	}
 	if p.Latency != nil {
-		eff.Latency = *p.Latency
+		m.Base.Latency = *p.Latency
 	}
 	if p.Bandwidth != nil {
-		eff.Bandwidth = *p.Bandwidth
+		m.Base.Bandwidth = *p.Bandwidth
 	}
 	if p.EagerLimit != nil {
-		eff.EagerLimit = *p.EagerLimit
+		m.Base.EagerLimit = *p.EagerLimit
 	}
 	if p.Overhead != nil {
-		eff.Overhead = *p.Overhead
+		m.Base.Overhead = *p.Overhead
 	}
-	if p.Topology == nil && p.Capability == nil {
-		if err := eff.Validate(); err != nil {
-			return eff, nil, err
-		}
-		return eff, nil, nil
+	// Validated here as well as in dimemas.NewEnv: overrides that zero
+	// every scalar must be rejected, not read as "use the default".
+	if err := m.Base.Validate(); err != nil {
+		return m, err
 	}
-	m := &dimemas.Machine{Base: eff}
 	if t := p.Topology; t != nil {
 		pl := t.Placement
 		if t.PerNode != 0 {
 			if t.PerNode < 0 {
-				return eff, nil, stagerr.Errorf(stagerr.Validate, "platform: per_node must be positive, got %d", t.PerNode)
+				return m, stagerr.Errorf(stagerr.Validate, "platform: per_node must be positive, got %d", t.PerNode)
 			}
 			if len(pl) != 0 {
-				return eff, nil, stagerr.New(stagerr.Validate, "platform: placement and per_node are mutually exclusive")
+				return m, stagerr.New(stagerr.Validate, "platform: placement and per_node are mutually exclusive")
 			}
 			pl = dimemas.BlockPlacement(nranks, t.PerNode)
 		}
@@ -111,7 +109,7 @@ func (p *PlatformSpec) resolve(base dimemas.Platform, nranks int) (dimemas.Platf
 		if t.Remote != nil {
 			topo.Remote = t.Remote.link()
 		} else if t.NodeSwitch != nil {
-			return eff, nil, stagerr.New(stagerr.Validate, "platform: node_switch requires a remote link")
+			return m, stagerr.New(stagerr.Validate, "platform: node_switch requires a remote link")
 		}
 		m.Topo = topo
 	}
@@ -122,24 +120,7 @@ func (p *PlatformSpec) resolve(base dimemas.Platform, nranks int) (dimemas.Platf
 			PowerScale: c.PowerScale,
 		}
 	}
-	if err := m.ValidateFor(nranks); err != nil {
-		return eff, nil, err
-	}
-	return eff, m, nil
-}
-
-// machineFor is resolve flattened to a value machine, for call sites that
-// replay directly (the replay handler) rather than passing an optional
-// layered machine into a pipeline config.
-func (p *PlatformSpec) machineFor(base dimemas.Platform, nranks int) (dimemas.Machine, error) {
-	eff, m, err := p.resolve(base, nranks)
-	if err != nil {
-		return dimemas.Machine{}, err
-	}
-	if m == nil {
-		return dimemas.FlatMachine(eff), nil
-	}
-	return *m, nil
+	return m, nil
 }
 
 // PlatformBody echoes the daemon's configured flat platform in /healthz, so

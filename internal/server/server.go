@@ -328,19 +328,19 @@ func call[T any](ctx context.Context, f func() (T, error)) (T, error) {
 	}
 }
 
-// traceFor resolves a TraceSpec: inline text is parsed per request;
+// traceFor resolves a TraceRef: inline text is parsed per request;
 // generated workloads are memoized so every request for the same instance
 // shares one trace identity — the property the replay cache keys on. The
 // request context is threaded into the calibration replays so a timed-out
 // request stops generating promptly; a generation aborted that way is not
 // memoized (waiters with live contexts retry, bounded, then generate
 // uncached rather than loop on repeatedly cancelled peers).
-func (s *Server) traceFor(ctx context.Context, spec TraceSpec) (*trace.Trace, error) {
+func (s *Server) traceFor(ctx context.Context, spec TraceRef) (*trace.Trace, error) {
 	return span(s, stagerr.Parse, func() (*trace.Trace, error) { return s.traceResolve(ctx, spec) })
 }
 
 // traceResolve is traceFor without the parse-stage span accounting.
-func (s *Server) traceResolve(ctx context.Context, spec TraceSpec) (*trace.Trace, error) {
+func (s *Server) traceResolve(ctx context.Context, spec TraceRef) (*trace.Trace, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}

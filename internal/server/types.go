@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"math"
 	"strings"
 
@@ -14,7 +13,6 @@ import (
 	"repro/internal/predict"
 	"repro/internal/rebalance"
 	"repro/internal/stagerr"
-	"repro/internal/timemodel"
 	"repro/internal/workload"
 )
 
@@ -67,10 +65,6 @@ type TraceRef struct {
 	Quick bool `json:"quick,omitempty"`
 }
 
-// TraceSpec is the pre-redesign name of TraceRef, kept as an alias so
-// existing callers and tests keep compiling; the wire format is unchanged.
-type TraceSpec = TraceRef
-
 func (s *TraceRef) validate() error {
 	if (s.Text == "") == (s.App == "") {
 		return stagerr.New(stagerr.Validate, "trace: exactly one of text or app is required")
@@ -121,9 +115,9 @@ type GearSpec struct {
 	FMax float64 `json:"fmax,omitempty"`
 }
 
-// validate is the one bounds check for the shared parameters; every handler
-// resolves its GearSpec through validate/options/betaArg, replacing the
-// per-request copies the pre-redesign types carried.
+// validate is the one bounds check for the shared parameters on the wire.
+// It runs before the model is resolved (Server.env), so a bad β or fmax is
+// reported with this client-facing text rather than the library's.
 func (g *GearSpec) validate() error {
 	if g.Beta != nil && (*g.Beta < 0 || *g.Beta > 1 || math.IsNaN(*g.Beta)) {
 		return stagerr.Errorf(stagerr.Validate, "beta: must be in [0, 1], got %v", *g.Beta)
@@ -134,34 +128,24 @@ func (g *GearSpec) validate() error {
 	return nil
 }
 
-// betaArg unpacks the optional wire β into the (value, explicit) pair the
-// pipeline configs take: absent means "use the default", an explicit 0 means
-// a fully memory-bound β = 0 run.
-func (g *GearSpec) betaArg() (beta float64, set bool, err error) {
+// env resolves the model one request is scored under — β and FMax from its
+// GearSpec, the machine from its PlatformSpec over the daemon's platform —
+// for an nranks-rank trace, through the same dimemas.NewEnv every pipeline
+// uses. A bare replay request and an analyze request therefore replay the
+// identical baseline and share a cache entry.
+func (s *Server) env(g *GearSpec, p *PlatformSpec, nranks int) (dimemas.Env, error) {
 	if err := g.validate(); err != nil {
-		return 0, false, err
+		return dimemas.Env{}, err
 	}
-	if g.Beta == nil {
-		return 0, false, nil
+	m, err := p.machine(s.platform, nranks)
+	if err != nil {
+		return dimemas.Env{}, err
 	}
-	return *g.Beta, true, nil
-}
-
-// options applies the same defaults the analysis pipeline uses, so a bare
-// replay request and an analyze request replay the identical baseline (and
-// therefore share a cache entry).
-func (g *GearSpec) options(ctx context.Context) (dimemas.Options, error) {
-	if err := g.validate(); err != nil {
-		return dimemas.Options{}, err
-	}
-	o := dimemas.Options{Beta: timemodel.DefaultBeta, FMax: g.FMax, Ctx: ctx}
+	var beta float64
 	if g.Beta != nil {
-		o.Beta = *g.Beta
+		beta = *g.Beta
 	}
-	if o.FMax == 0 {
-		o.FMax = dvfs.FMax
-	}
-	return o, nil
+	return dimemas.NewEnv(s.platform, &m, beta, g.Beta != nil, g.FMax, nranks)
 }
 
 // GearSetSpec describes a DVFS gear set in a request body.
@@ -461,9 +445,9 @@ func NewAppsResponse() *AppsResponse {
 }
 
 // TracegenRequest is the body of POST /v1/tracegen: a generated-workload
-// TraceSpec (inline text input is rejected — there is nothing to generate).
+// TraceRef (inline text input is rejected — there is nothing to generate).
 type TracegenRequest struct {
-	Trace TraceSpec `json:"trace"`
+	Trace TraceRef `json:"trace"`
 }
 
 // TracegenResponse is the body of a successful POST /v1/tracegen.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -54,33 +53,29 @@ func FindInstance(name string) (Instance, error) {
 	return Instance{}, fmt.Errorf("workload: unknown instance %q (want one of Table 3)", name)
 }
 
-// anchor is one (nprocs → LB, PE) data point from Table 3.
-type anchor struct {
-	n      int
-	lb, pe float64
-}
-
-var anchors = map[string][]anchor{
-	"BT-MZ":     {{32, 0.3521, 0.3507}},
-	"CG":        {{32, 0.9782, 0.7855}, {64, 0.9346, 0.6336}},
-	"MG":        {{32, 0.9455, 0.8728}, {64, 0.9150, 0.8560}},
-	"IS":        {{32, 0.4377, 0.0821}, {64, 0.4959, 0.1700}},
-	"SPECFEM3D": {{32, 0.9280, 0.9261}, {96, 0.7907, 0.7865}},
-	"WRF":       {{32, 0.9060, 0.8953}, {128, 0.9365, 0.8527}},
-	"PEPC":      {{128, 0.7612, 0.6778}},
-}
-
 // defaultLBSlope is the per-doubling load-balance drift applied when an
 // application has a single Table 3 anchor: the paper's motivation is that
 // imbalance tends to grow with cluster size (§1).
 const defaultLBSlope = -0.04
 
-// InstanceFor builds an instance for an arbitrary process count by
-// interpolating (or extrapolating) the Table 3 characteristics in log₂
-// space. It supports the cluster-size scaling studies the paper motivates.
+// InstanceFor returns the instance of app at nprocs processes: the Table 3
+// instance itself when (app, nprocs) names one — so a workload name always
+// maps to one instance — and otherwise one built by interpolating (or
+// extrapolating) the Table 3 characteristics in log₂ space. It supports the
+// cluster-size scaling studies the paper motivates.
 func InstanceFor(app string, nprocs int) (Instance, error) {
-	as, ok := anchors[app]
-	if !ok {
+	// Table 3 lists each application's process counts in ascending order.
+	var as []Instance
+	for _, inst := range Table3() {
+		if inst.App != app {
+			continue
+		}
+		if inst.NProcs == nprocs {
+			return inst, nil
+		}
+		as = append(as, inst)
+	}
+	if len(as) == 0 {
 		return Instance{}, fmt.Errorf("workload: unknown application %q (want one of %v)", app, Apps())
 	}
 	if nprocs < 2 {
@@ -90,17 +85,16 @@ func InstanceFor(app string, nprocs int) (Instance, error) {
 	switch {
 	case len(as) == 1:
 		a := as[0]
-		doublings := math.Log2(float64(nprocs) / float64(a.n))
-		lb = a.lb + defaultLBSlope*doublings
-		pe = lb * (a.pe / a.lb)
+		doublings := math.Log2(float64(nprocs) / float64(a.NProcs))
+		lb = a.TargetLB + defaultLBSlope*doublings
+		pe = lb * (a.TargetPE / a.TargetLB)
 	default:
-		sort.Slice(as, func(i, j int) bool { return as[i].n < as[j].n })
 		lo, hi := as[0], as[len(as)-1]
 		x := math.Log2(float64(nprocs))
-		x0, x1 := math.Log2(float64(lo.n)), math.Log2(float64(hi.n))
+		x0, x1 := math.Log2(float64(lo.NProcs)), math.Log2(float64(hi.NProcs))
 		t := (x - x0) / (x1 - x0)
-		lb = lo.lb + t*(hi.lb-lo.lb)
-		pe = lo.pe + t*(hi.pe-lo.pe)
+		lb = lo.TargetLB + t*(hi.TargetLB-lo.TargetLB)
+		pe = lo.TargetPE + t*(hi.TargetPE-lo.TargetPE)
 	}
 	lb = stats.Clamp(lb, 0.05, 0.995)
 	// Leave headroom below LB: even a communication-free replay loses a

@@ -45,6 +45,18 @@ func TestTable3Instances(t *testing.T) {
 }
 
 func TestInstanceForInterpolation(t *testing.T) {
+	// At a Table 3 point InstanceFor must return the Table 3 instance
+	// itself: caches keyed on the instance name would otherwise serve two
+	// different calibrations under one name.
+	for _, inst := range Table3() {
+		got, err := InstanceFor(inst.App, inst.NProcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != inst {
+			t.Errorf("InstanceFor(%q, %d) = %+v, want the Table 3 instance %+v", inst.App, inst.NProcs, got, inst)
+		}
+	}
 	// At an anchor the interpolation must return the anchor values.
 	cg32, err := InstanceFor("CG", 32)
 	if err != nil {
