@@ -7,6 +7,7 @@ package dimemas
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -403,6 +404,10 @@ func TestReplayCacheSkeletonSharing(t *testing.T) {
 	if sk, err := nilCache.SkeletonFor(tr, p, opts); err != nil || sk == nil {
 		t.Fatalf("nil cache SkeletonFor: %v, %v", sk, err)
 	}
+}
+
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func TestReplayCacheDoesNotMemoizeCancellation(t *testing.T) {

@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/stagerr"
-	"repro/internal/workload"
 )
 
 // Config parameterizes the gateway.
@@ -140,7 +139,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:      cfg,
-		reg:      newMetrics(),
 		mux:      http.NewServeMux(),
 		backends: make(map[string]*backend, len(cfg.Backends)),
 		ring:     buildRing(nil, cfg.VNodes),
@@ -159,9 +157,10 @@ func New(cfg Config) (*Gateway, error) {
 		g.backends[name] = newBackend(name, u, cfg)
 		g.order = append(g.order, name)
 	}
+	g.reg = newMetrics(g)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
+	g.mux.Handle("GET /metrics", g.reg)
 	g.mux.HandleFunc("/", g.handleProxy)
 	g.http = &http.Server{Addr: cfg.Addr, Handler: g.mux}
 	return g, nil
@@ -190,26 +189,17 @@ func (g *Gateway) Close() {
 	g.stopOnce.Do(func() { close(g.stopped) })
 }
 
-// gwError writes the gateway's error envelope. It reuses the daemon's
-// envelope shape (error, stage, request_id) with stage "gateway", so a
-// client sees one error grammar whether a failure originated in a backend
-// pipeline stage or in the fleet front itself.
-func (g *Gateway) gwError(w http.ResponseWriter, id string, status int, msg string) {
+// gwError answers a failure of the fleet front itself in the daemon's
+// envelope grammar, with stage "gateway".
+func gwError(w http.ResponseWriter, id string, status int, msg string) {
 	w.Header().Set(server.RequestIDHeader, id)
-	b, _ := json.Marshal(server.ErrorBody{
-		Error:     msg,
-		Stage:     string(stagerr.Gateway),
-		RequestID: id,
-	})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(b, '\n'))
+	server.WriteError(w, status, stagerr.Gateway, id, msg)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, server.HealthBody{
+	server.WriteJSON(w, http.StatusOK, server.HealthBody{
 		Status:        "ok",
-		UptimeSeconds: g.reg.snap().uptime,
+		UptimeSeconds: time.Since(g.reg.start).Seconds(),
 	})
 }
 
@@ -219,67 +209,21 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case g.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, server.ReadyBody{Status: "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.ReadyBody{Status: "draining"})
 	case len(g.currentRing().members) == 0:
-		writeJSON(w, http.StatusServiceUnavailable, server.ReadyBody{Status: "no-ready-backends"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.ReadyBody{Status: "no-ready-backends"})
 	default:
-		writeJSON(w, http.StatusOK, server.ReadyBody{Status: "ready"})
+		server.WriteJSON(w, http.StatusOK, server.ReadyBody{Status: "ready"})
 	}
 }
 
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	states := make(map[string]string, len(g.backends))
-	for name, b := range g.backends {
-		states[name] = b.stateName()
-	}
-	g.reg.render(w, states)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(b, '\n'))
-}
-
-// wireTraceRef is the subset of the daemon's TraceRef the gateway needs to
-// shard on. Unknown body fields are ignored: the gateway keys requests, it
-// does not validate them — validation stays the backend's job so gateway
-// and direct responses cannot diverge.
-type wireTraceRef struct {
-	Text       string `json:"text"`
-	App        string `json:"app"`
-	NProcs     int    `json:"nprocs"`
-	Iterations int    `json:"iterations"`
-	Quick      bool   `json:"quick"`
-}
-
-// wireTraceBody matches any /v1/* request body far enough to find its
-// trace reference(s).
-type wireTraceBody struct {
-	Trace  *wireTraceRef  `json:"trace"`
-	Traces []wireTraceRef `json:"traces"`
-}
-
-// keyOf canonicalizes one trace reference into a shard key. It mirrors the
-// backend's cache keying: generated workloads are memoized per
-// (app, nprocs, iterations, quick) with iterations normalized to the
-// workload default, so two requests that share a backend cache entry always
-// share a shard key; inline text traces key on their content hash.
-func keyOf(t wireTraceRef) string {
-	if t.Text != "" {
-		return fmt.Sprintf("text:%016x", hashKey(t.Text))
-	}
-	iters := t.Iterations
-	if iters == 0 {
-		iters = workload.DefaultConfig().Iterations
-	}
-	return fmt.Sprintf("app:%s|n=%d|i=%d|q=%t", t.App, t.NProcs, iters, t.Quick)
+// shardBody matches any /v1/* request body far enough to find its trace
+// reference(s). Unknown body fields are ignored: the gateway keys requests,
+// it does not validate them — validation stays the backend's job so
+// gateway and direct responses cannot diverge.
+type shardBody struct {
+	Trace  *server.TraceRef  `json:"trace"`
+	Traces []server.TraceRef `json:"traces"`
 }
 
 // shardKey extracts the consistent-hash key of a request, or "" when the
@@ -289,12 +233,12 @@ func shardKey(body []byte) string {
 	if len(body) == 0 {
 		return ""
 	}
-	var wb wireTraceBody
+	var wb shardBody
 	if err := json.Unmarshal(body, &wb); err != nil {
 		return ""
 	}
 	if wb.Trace != nil {
-		return keyOf(*wb.Trace)
+		return wb.Trace.Key()
 	}
 	if len(wb.Traces) > 0 {
 		// A multi-trace search (gearopt) shards on the joint key: the
@@ -302,7 +246,7 @@ func shardKey(body []byte) string {
 		// replays share that backend's cache.
 		key := "multi"
 		for _, t := range wb.Traces {
-			key += "+" + keyOf(t)
+			key += "+" + t.Key()
 		}
 		return key
 	}
@@ -400,22 +344,21 @@ type attemptOut struct {
 // handleProxy is the catch-all route: shard, forward, hedge, shed.
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	route := r.URL.Path
-	defer func() { g.reg.observe(route, time.Since(start)) }()
+	defer func() { g.reg.observe(server.RouteLabel(r.URL.Path), time.Since(start)) }()
 
 	id := server.RequestIDFor(r.Header.Get(server.RequestIDHeader))
 	r.Header.Set(server.RequestIDHeader, id)
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
-		g.gwError(w, id, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body: %v", err))
+		gwError(w, id, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body: %v", err))
 		return
 	}
 
 	cands := g.candidates(shardKey(body), 2)
 	if len(cands) == 0 {
 		g.reg.noReady()
-		g.gwError(w, id, http.StatusBadGateway, "no ready backends")
+		gwError(w, id, http.StatusBadGateway, "no ready backends")
 		return
 	}
 	primary := cands[0]
@@ -425,7 +368,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		// intact and surfaces overload to the client immediately.
 		g.reg.shedOne()
 		w.Header().Set("Retry-After", "1")
-		g.gwError(w, id, http.StatusTooManyRequests,
+		gwError(w, id, http.StatusTooManyRequests,
 			fmt.Sprintf("shard backend at capacity (%d in flight)", cap(primary.sem)))
 		return
 	}
@@ -490,7 +433,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 			if outstanding > 0 {
 				continue
 			}
-			g.gwError(w, id, http.StatusBadGateway,
+			gwError(w, id, http.StatusBadGateway,
 				fmt.Sprintf("all candidate backends failed: %v", lastErr))
 			return
 		case <-hedgeTimer.C:
@@ -498,9 +441,9 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				g.reg.timeoutOne()
-				g.gwError(w, id, http.StatusGatewayTimeout, "no backend response in time")
+				gwError(w, id, http.StatusGatewayTimeout, "no backend response in time")
 			} else {
-				g.gwError(w, id, 499, "client closed request")
+				gwError(w, id, server.StatusClientClosedRequest, "client closed request")
 			}
 			return
 		}

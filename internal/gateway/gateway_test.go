@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/stagerr"
+	"repro/internal/workload"
 )
 
 // newBackendServer boots a real pwrsimd handler on an httptest listener,
@@ -101,16 +102,80 @@ func TestConsistentRouting(t *testing.T) {
 			t.Fatalf("request %d = %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	snap := g.reg.snap()
-	key := keyOf(wireTraceRef{App: "IS-32", Iterations: 3, Quick: true})
+	key := server.TraceRef{App: "IS-32", Iterations: 3, Quick: true}.Key()
 	owner := g.currentRing().owner(key)
-	if got := snap.backends[owner].requests; got != 5 {
-		t.Fatalf("owner %s served %d of 5 requests for its key", owner, got)
+	if got := g.reg.requests.Get(owner); got != 5 {
+		t.Fatalf("owner %s served %v of 5 requests for its key", owner, got)
 	}
-	for name, c := range snap.backends {
-		if name != owner && c.requests != 0 {
-			t.Fatalf("non-owner %s saw %d requests for a key it does not own", name, c.requests)
+	for _, name := range g.order {
+		if c := g.reg.requests.Get(name); name != owner && c != 0 {
+			t.Fatalf("non-owner %s saw %v requests for a key it does not own", name, c)
 		}
+	}
+}
+
+// Two spellings of one Table 3 instance — by name, and by (app, nprocs) —
+// are one trace to the daemon's memo, so they must be one shard: otherwise
+// each spelling warms a different backend's caches for the same workload.
+func TestSpellingsRouteToOneBackend(t *testing.T) {
+	_, ts1 := newBackendServer(t)
+	_, ts2 := newBackendServer(t)
+	// No hedging: each request must be served by exactly one backend.
+	g := newGateway(t, Config{HedgeAfter: time.Minute}, ts1.URL, ts2.URL)
+	servedBy := func(body string) string {
+		t.Helper()
+		before := make(map[string]float64)
+		for _, b := range g.order {
+			before[b] = g.reg.requests.Get(b)
+		}
+		if rec := postJSON(t, g.Handler(), "/v1/replay", body); rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", body, rec.Code, rec.Body.String())
+		}
+		for _, b := range g.order {
+			if g.reg.requests.Get(b) > before[b] {
+				return b
+			}
+		}
+		t.Fatalf("%s: no backend served it", body)
+		return ""
+	}
+	for _, inst := range workload.Table3() {
+		byName := fmt.Sprintf(`{"trace": {"app": %q, "iterations": 1, "quick": true}}`, inst.Name)
+		byCount := fmt.Sprintf(`{"trace": {"app": %q, "nprocs": %d, "iterations": 1, "quick": true}}`, inst.App, inst.NProcs)
+		if a, b := servedBy(byName), servedBy(byCount); a != b {
+			t.Errorf("%s by name went to %s, by (app, nprocs) to %s", inst.Name, a, b)
+		}
+	}
+}
+
+// Proxy latency is labelled by the daemon's route table; every other path
+// shares one "other" label, so junk paths cannot grow /metrics without
+// bound.
+func TestProxyRouteLabelsBounded(t *testing.T) {
+	_, ts := newBackendServer(t)
+	g := newGateway(t, Config{}, ts.URL)
+	for i := 0; i < 20; i++ {
+		if rec := postJSON(t, g.Handler(), fmt.Sprintf("/junk/%d", i), `{}`); rec.Code != http.StatusNotFound {
+			t.Fatalf("junk path = %d, want the backend's 404", rec.Code)
+		}
+	}
+	if rec := postJSON(t, g.Handler(), "/v1/analyze", analyzeBody); rec.Code != http.StatusOK {
+		t.Fatalf("analyze = %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var series []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "pwrsimgw_proxied_total{") {
+			series = append(series, line)
+		}
+	}
+	want := []string{
+		`pwrsimgw_proxied_total{route="/v1/analyze"} 1`,
+		`pwrsimgw_proxied_total{route="other"} 20`,
+	}
+	if strings.Join(series, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("proxied series:\n%s\nwant:\n%s", strings.Join(series, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -144,7 +209,7 @@ func stallBackend(t *testing.T) (*httptest.Server, func()) {
 func findStallKey(t *testing.T, g *Gateway, stallURL string) string {
 	t.Helper()
 	for iters := 1; iters <= 64; iters++ {
-		key := keyOf(wireTraceRef{App: "IS-32", Iterations: iters, Quick: true})
+		key := server.TraceRef{App: "IS-32", Iterations: iters, Quick: true}.Key()
 		seq := g.currentRing().sequence(key, 2)
 		if len(seq) == 2 && seq[0] == stallURL {
 			return fmt.Sprintf(`{"trace": {"app": "IS-32", "iterations": %d, "quick": true}, "gear_set": {"kind": "uniform"}}`, iters)
@@ -179,11 +244,10 @@ func TestHedgeWinsWhenBackendKilledMidRequest(t *testing.T) {
 	if !bytes.Equal(rec.Body.Bytes(), direct.Body.Bytes()) {
 		t.Fatal("hedged response differs from a direct backend call")
 	}
-	snap := g.reg.snap()
-	if snap.backends[ts2.URL].hedges == 0 {
+	if g.reg.hedges.Get(ts2.URL) == 0 {
 		t.Fatal("no hedge launched against the replica")
 	}
-	if snap.backends[ts2.URL].hedgeWins == 0 {
+	if g.reg.hedgeWins.Get(ts2.URL) == 0 {
 		t.Fatal("hedge served the response but no hedge win was recorded")
 	}
 }
@@ -239,7 +303,7 @@ func TestAllBackendsDown(t *testing.T) {
 	if eb.RequestID == "" {
 		t.Fatal("502 envelope carries no request_id")
 	}
-	if g.reg.snap().noBackend == 0 {
+	if g.reg.noBackend.Get("") == 0 {
 		t.Fatal("no_ready_backend counter did not move")
 	}
 	// The gateway's own readiness reflects the empty ring.
@@ -287,7 +351,7 @@ func TestShedWhenShardSaturated(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Stage != string(stagerr.Gateway) {
 		t.Fatalf("shed envelope malformed: %s", rec.Body.String())
 	}
-	if g.reg.snap().shed == 0 {
+	if g.reg.shed.Get("") == 0 {
 		t.Fatal("shed counter did not move")
 	}
 }
@@ -304,18 +368,16 @@ func TestRebalanceAfterBackendLeaves(t *testing.T) {
 		urls = append(urls, ts.URL)
 	}
 	g := newGateway(t, Config{}, urls...)
-	snap := g.reg.snap()
-	if snap.rebalances != 1 {
-		t.Fatalf("initial probe produced %d rebalances, want 1", snap.rebalances)
+	if n := g.reg.rebalances.Get(""); n != 1 {
+		t.Fatalf("initial probe produced %v rebalances, want 1", n)
 	}
 
 	backends[0].Close()
 	g.CheckNow(context.Background())
-	snap = g.reg.snap()
-	if snap.rebalances != 2 {
-		t.Fatalf("leave produced %d rebalances, want 2", snap.rebalances)
+	if n := g.reg.rebalances.Get(""); n != 2 {
+		t.Fatalf("leave produced %v rebalances, want 2", n)
 	}
-	if frac := snap.lastChurn; frac < 0.125 || frac > 0.45 {
+	if frac := g.reg.lastChurn.Get(""); frac < 0.125 || frac > 0.45 {
 		t.Fatalf("leave of 1-of-4 moved %.1f%% of keys, want ~25%% (consistent hashing, not rehash-everything)", 100*frac)
 	}
 	// Fleet still serves, whatever the key's old owner was.
@@ -345,9 +407,8 @@ func TestWarmOnJoin(t *testing.T) {
 		WarmQuick:      true,
 	}, ts.URL)
 
-	snap := g.reg.snap()
-	if snap.warmups != 2 {
-		t.Fatalf("join issued %d warmups, want 2 (sole backend owns every app)", snap.warmups)
+	if n := g.reg.warmups.Get(""); n != 2 {
+		t.Fatalf("join issued %v warmups, want 2 (sole backend owns every app)", n)
 	}
 	if !g.backends[ts.URL].ready() {
 		t.Fatal("backend not ready after warm-up")

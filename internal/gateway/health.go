@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/server"
 )
 
 // Backend lifecycle states. A backend enters the ring only in the ready
@@ -61,17 +63,6 @@ func (b *backend) tryAcquire() bool {
 func (b *backend) release() { <-b.sem }
 
 func (b *backend) ready() bool { return b.state.Load() == backendReady }
-
-func (b *backend) stateName() string {
-	switch b.state.Load() {
-	case backendReady:
-		return "ready"
-	case backendWarming:
-		return "warming"
-	default:
-		return "down"
-	}
-}
 
 // Start launches the background health-check loop: an immediate full probe
 // (so a gateway that starts after its backends takes traffic right away),
@@ -163,8 +154,8 @@ func (g *Gateway) warm(ctx context.Context, b *backend) {
 	}
 	prospective := buildRing(members, g.cfg.VNodes)
 	for _, app := range g.cfg.WarmApps {
-		ref := wireTraceRef{App: app, Iterations: g.cfg.WarmIterations, Quick: g.cfg.WarmQuick}
-		if prospective.owner(keyOf(ref)) != b.name {
+		ref := server.TraceRef{App: app, Iterations: g.cfg.WarmIterations, Quick: g.cfg.WarmQuick}
+		if prospective.owner(ref.Key()) != b.name {
 			continue
 		}
 		body, err := json.Marshal(map[string]any{

@@ -3,6 +3,8 @@ package gateway
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/server"
 )
 
 func ringMembers(n int) []string {
@@ -114,17 +116,17 @@ func TestRingChurnOnJoinMovesOnlyToJoiner(t *testing.T) {
 // workload, so they must be the same shard key; distinct workloads must
 // not collide.
 func TestShardKeyCanonicalization(t *testing.T) {
-	implicit := keyOf(wireTraceRef{App: "IS-32", Quick: true})
-	explicit := keyOf(wireTraceRef{App: "IS-32", Iterations: 20, Quick: true})
+	implicit := server.TraceRef{App: "IS-32", Quick: true}.Key()
+	explicit := server.TraceRef{App: "IS-32", Iterations: 20, Quick: true}.Key()
 	if implicit != explicit {
 		t.Fatalf("default iterations not canonicalized: %q vs %q", implicit, explicit)
 	}
-	other := keyOf(wireTraceRef{App: "IS-32", Iterations: 21, Quick: true})
+	other := server.TraceRef{App: "IS-32", Iterations: 21, Quick: true}.Key()
 	if other == implicit {
 		t.Fatal("distinct iteration counts collided onto one shard key")
 	}
-	text := keyOf(wireTraceRef{Text: "some trace"})
-	if text == keyOf(wireTraceRef{Text: "another trace"}) {
+	text := server.TraceRef{Text: "some trace"}.Key()
+	if text == (server.TraceRef{Text: "another trace"}).Key() {
 		t.Fatal("distinct inline traces collided onto one shard key")
 	}
 }
@@ -136,9 +138,9 @@ func TestShardKeyExtraction(t *testing.T) {
 		want string
 	}{
 		{"analyze", `{"trace": {"app": "IS-32", "quick": true}, "gear_set": {"kind": "uniform"}}`,
-			keyOf(wireTraceRef{App: "IS-32", Quick: true})},
+			server.TraceRef{App: "IS-32", Quick: true}.Key()},
 		{"gearopt joint key", `{"traces": [{"app": "IS-32"}, {"app": "CG-64"}]}`,
-			"multi+" + keyOf(wireTraceRef{App: "IS-32"}) + "+" + keyOf(wireTraceRef{App: "CG-64"})},
+			"multi+" + server.TraceRef{App: "IS-32"}.Key() + "+" + server.TraceRef{App: "CG-64"}.Key()},
 		{"no trace", `{"x": 1}`, ""},
 		{"empty body", ``, ""},
 		{"malformed", `{"trace": `, ""},

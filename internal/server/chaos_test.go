@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -203,7 +205,7 @@ func TestChaosSoak(t *testing.T) {
 	for _, err := range s.cache.MemoizedErrors() {
 		if faults.IsInjected(err) {
 			t.Errorf("injected fault memoized in replay cache: %v", err)
-		} else if isCtxErr(err) {
+		} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("context error memoized in replay cache: %v", err)
 		}
 	}

@@ -194,7 +194,7 @@ func TestPanicRecovery(t *testing.T) {
 	// A panic after the handler wrote must not attempt a second response.
 	rec = httptest.NewRecorder()
 	h2 := s.withLifecycle(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 		panic("late boom")
 	}))
 	h2.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/replay", nil))
@@ -202,9 +202,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("late-panic status rewritten to %d", rec.Code)
 	}
 
-	s.reg.mu.Lock()
-	panics := s.reg.panics
-	s.reg.mu.Unlock()
+	panics := int(s.reg.panics.Get(""))
 	if panics != 2 {
 		t.Fatalf("panic counter = %d, want 2", panics)
 	}

@@ -51,9 +51,7 @@ func FuzzRebalanceBody(f *testing.F) {
 		} else {
 			envelope(t, resp)
 		}
-		s.reg.mu.Lock()
-		panics := s.reg.panics
-		s.reg.mu.Unlock()
+		panics := int(s.reg.panics.Get(""))
 		if panics != 0 {
 			t.Fatalf("handler panicked %d times", panics)
 		}

@@ -1,236 +1,105 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/dimemas"
+	"repro/internal/obs"
 	"repro/internal/stagerr"
 )
 
-// routeStats accumulates request counts and latencies for one route.
-type routeStats struct {
-	count        int64
-	errors       int64
-	totalSeconds float64
-	maxSeconds   float64
+// metrics is the daemon's /metrics registry and the named updates the
+// request path makes to it.
+type metrics struct {
+	*obs.Registry
+	start time.Time
+
+	inFlight, rejected, timeouts, panics                       *obs.Family
+	requests, requestErrors, requestSeconds, requestSecondsMax *obs.Family
+	stageErrors, stageSeconds, stageSpans                      *obs.Family
 }
 
-// stageStats accumulates error counts and latency spans for one pipeline
-// stage (internal/stagerr taxonomy).
-type stageStats struct {
-	errors       int64
-	spans        int64
-	totalSeconds float64
-}
-
-// registry collects the daemon's operational counters. All methods are safe
-// for concurrent use.
-type registry struct {
-	mu       sync.Mutex
-	start    time.Time
-	inFlight int64
-	rejected int64
-	timeouts int64
-	panics   int64
-	routes   map[string]*routeStats
-	stages   map[stagerr.Stage]*stageStats
-}
-
-func newRegistry() *registry {
-	return &registry{
-		start:  time.Now(),
-		routes: make(map[string]*routeStats),
-		stages: make(map[stagerr.Stage]*stageStats),
+// newMetrics declares the daemon's families in exposition order. Cache and
+// readiness gauges read s at scrape time; stages render zero-filled over
+// the full taxonomy in pipeline order, so dashboards see every stage from
+// the first scrape on.
+func newMetrics(s *Server) *metrics {
+	m := &metrics{start: time.Now()}
+	cache := func(f func(dimemas.CacheStats) float64) func(string) float64 {
+		return func(string) float64 { return f(s.cache.Stats()) }
 	}
-}
-
-func (g *registry) enter() {
-	g.mu.Lock()
-	g.inFlight++
-	g.mu.Unlock()
-}
-
-func (g *registry) exit() {
-	g.mu.Lock()
-	g.inFlight--
-	g.mu.Unlock()
-}
-
-func (g *registry) reject() {
-	g.mu.Lock()
-	g.rejected++
-	g.mu.Unlock()
-}
-
-func (g *registry) timeout() {
-	g.mu.Lock()
-	g.timeouts++
-	g.mu.Unlock()
-}
-
-func (g *registry) panicked() {
-	g.mu.Lock()
-	g.panics++
-	g.mu.Unlock()
-}
-
-// stageFor returns (creating if needed) the stats slot of a stage. Callers
-// hold g.mu.
-func (g *registry) stageFor(st stagerr.Stage) *stageStats {
-	ss := g.stages[st]
-	if ss == nil {
-		ss = &stageStats{}
-		g.stages[st] = ss
+	var stages []string
+	for _, st := range stagerr.Stages() {
+		stages = append(stages, string(st))
 	}
-	return ss
+	m.Registry = obs.New(
+		obs.Def{Name: "pwrsimd_uptime_seconds", Help: "Seconds since the server started.", Type: obs.Gauge, Float: true,
+			Value: func(string) float64 { return time.Since(m.start).Seconds() }},
+		obs.Def{Name: "pwrsimd_in_flight", Help: "Requests currently being served.", Type: obs.Gauge, Into: &m.inFlight},
+		obs.Def{Name: "pwrsimd_rejected_total", Help: "Requests rejected by the in-flight limit.", Type: obs.Counter, Into: &m.rejected},
+		obs.Def{Name: "pwrsimd_timeouts_total", Help: "Requests aborted by the per-request timeout.", Type: obs.Counter, Into: &m.timeouts},
+		obs.Def{Name: "pwrsimd_panics_total", Help: "Handler panics contained by the lifecycle middleware.", Type: obs.Counter, Into: &m.panics},
+		obs.Def{Name: "pwrsimd_ready", Help: "Readiness (1 = serving, 0 = starting or draining; see /readyz).", Type: obs.Gauge,
+			Value: func(string) float64 { return boolValue(s.Ready()) }},
+
+		obs.Def{Name: "pwrsimd_cache_hits_total", Help: "Replay-cache hits.", Type: obs.Counter,
+			Value: cache(func(c dimemas.CacheStats) float64 { return float64(c.Hits) })},
+		obs.Def{Name: "pwrsimd_cache_misses_total", Help: "Replay-cache misses.", Type: obs.Counter,
+			Value: cache(func(c dimemas.CacheStats) float64 { return float64(c.Misses) })},
+		obs.Def{Name: "pwrsimd_cache_evictions_total", Help: "Replay-cache LRU evictions.", Type: obs.Counter,
+			Value: cache(func(c dimemas.CacheStats) float64 { return float64(c.Evictions) })},
+		obs.Def{Name: "pwrsimd_cache_entries", Help: "Replay-cache current entry count.", Type: obs.Gauge,
+			Value: cache(func(c dimemas.CacheStats) float64 { return float64(c.Entries) })},
+		// The hit ratio is derivable from the counters, but exposing it as a
+		// gauge lets the fleet scaling experiment (and dashboards) read each
+		// shard's cache temperature without doing rate arithmetic.
+		obs.Def{Name: "pwrsimd_cache_hit_ratio", Help: "Replay-cache hits over lookups since start (0 before the first lookup).", Type: obs.Gauge, Float: true,
+			Value: cache(func(c dimemas.CacheStats) float64 {
+				if c.Hits+c.Misses == 0 {
+					return 0
+				}
+				return float64(c.Hits) / float64(c.Hits+c.Misses)
+			})},
+
+		obs.Def{Name: "pwrsimd_requests_total", Help: "Finished requests by route.", Type: obs.Counter, Label: "route", Into: &m.requests},
+		obs.Def{Name: "pwrsimd_request_errors_total", Help: "Non-2xx requests by route.", Type: obs.Counter, Label: "route", Into: &m.requestErrors},
+		obs.Def{Name: "pwrsimd_request_seconds_sum", Help: "Summed request latency by route.", Type: obs.Counter, Float: true, Label: "route", Into: &m.requestSeconds},
+		obs.Def{Name: "pwrsimd_request_seconds_max", Help: "Worst observed request latency by route.", Type: obs.Gauge, Float: true, Label: "route", Into: &m.requestSecondsMax},
+
+		obs.Def{Name: "pwrsimd_stage_errors_total", Help: "Error envelopes by originating pipeline stage.", Type: obs.Counter, Label: "stage", Labels: stages, Into: &m.stageErrors},
+		obs.Def{Name: "pwrsimd_stage_seconds_sum", Help: "Summed latency of timed pipeline-stage spans.", Type: obs.Counter, Float: true, Label: "stage", Labels: stages, Into: &m.stageSeconds},
+		obs.Def{Name: "pwrsimd_stage_seconds_count", Help: "Timed pipeline-stage spans.", Type: obs.Counter, Label: "stage", Labels: stages, Into: &m.stageSpans},
+	)
+	return m
 }
+
+func boolValue(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (m *metrics) enter()    { m.inFlight.Add("", 1) }
+func (m *metrics) exit()     { m.inFlight.Add("", -1) }
+func (m *metrics) reject()   { m.rejected.Add("", 1) }
+func (m *metrics) timeout()  { m.timeouts.Add("", 1) }
+func (m *metrics) panicked() { m.panics.Add("", 1) }
 
 // stageError counts one error envelope attributed to a stage.
-func (g *registry) stageError(st stagerr.Stage) {
-	g.mu.Lock()
-	g.stageFor(st).errors++
-	g.mu.Unlock()
-}
+func (m *metrics) stageError(st stagerr.Stage) { m.stageErrors.Add(string(st), 1) }
 
 // observeStage records one timed span of a pipeline stage.
-func (g *registry) observeStage(st stagerr.Stage, d time.Duration) {
-	g.mu.Lock()
-	ss := g.stageFor(st)
-	ss.spans++
-	ss.totalSeconds += d.Seconds()
-	g.mu.Unlock()
+func (m *metrics) observeStage(st stagerr.Stage, d time.Duration) {
+	m.stageSpans.Add(string(st), 1)
+	m.stageSeconds.Add(string(st), d.Seconds())
 }
 
 // observe records one finished request on a route. isErr marks non-2xx
 // outcomes.
-func (g *registry) observe(route string, d time.Duration, isErr bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rs := g.routes[route]
-	if rs == nil {
-		rs = &routeStats{}
-		g.routes[route] = rs
-	}
-	rs.count++
-	if isErr {
-		rs.errors++
-	}
-	sec := d.Seconds()
-	rs.totalSeconds += sec
-	if sec > rs.maxSeconds {
-		rs.maxSeconds = sec
-	}
-}
-
-// render writes the Prometheus text exposition of the counters plus the
-// shared replay cache's stats. Routes are sorted for deterministic output.
-func (g *registry) render(w io.Writer, cache dimemas.CacheStats, ready bool) {
-	g.mu.Lock()
-	inFlight, rejected, timeouts, panics := g.inFlight, g.rejected, g.timeouts, g.panics
-	uptime := time.Since(g.start).Seconds()
-	routes := make([]string, 0, len(g.routes))
-	for r := range g.routes {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	snap := make(map[string]routeStats, len(g.routes))
-	for r, rs := range g.routes {
-		snap[r] = *rs
-	}
-	// Stages render zero-filled over the full taxonomy (stagerr.Stages()
-	// is in pipeline order), so scrapes are deterministic and dashboards
-	// see every stage from the first scrape on.
-	stageSnap := make(map[stagerr.Stage]stageStats, len(g.stages))
-	for st, ss := range g.stages {
-		stageSnap[st] = *ss
-	}
-	g.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP pwrsimd_uptime_seconds Seconds since the server started.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "pwrsimd_uptime_seconds %g\n", uptime)
-	fmt.Fprintf(w, "# HELP pwrsimd_in_flight Requests currently being served.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_in_flight gauge\n")
-	fmt.Fprintf(w, "pwrsimd_in_flight %d\n", inFlight)
-	fmt.Fprintf(w, "# HELP pwrsimd_rejected_total Requests rejected by the in-flight limit.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_rejected_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_rejected_total %d\n", rejected)
-	fmt.Fprintf(w, "# HELP pwrsimd_timeouts_total Requests aborted by the per-request timeout.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_timeouts_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_timeouts_total %d\n", timeouts)
-	fmt.Fprintf(w, "# HELP pwrsimd_panics_total Handler panics contained by the lifecycle middleware.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_panics_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_panics_total %d\n", panics)
-
-	readyVal := 0
-	if ready {
-		readyVal = 1
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_ready Readiness (1 = serving, 0 = starting or draining; see /readyz).\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_ready gauge\n")
-	fmt.Fprintf(w, "pwrsimd_ready %d\n", readyVal)
-
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_hits_total Replay-cache hits.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_cache_hits_total %d\n", cache.Hits)
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_misses_total Replay-cache misses.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_cache_misses_total %d\n", cache.Misses)
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_evictions_total Replay-cache LRU evictions.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "pwrsimd_cache_evictions_total %d\n", cache.Evictions)
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_entries Replay-cache current entry count.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_entries gauge\n")
-	fmt.Fprintf(w, "pwrsimd_cache_entries %d\n", cache.Entries)
-	// The hit ratio is derivable from the counters, but exposing it as a
-	// gauge lets the fleet scaling experiment (and dashboards) read each
-	// shard's cache temperature without doing rate arithmetic.
-	ratio := 0.0
-	if lookups := cache.Hits + cache.Misses; lookups > 0 {
-		ratio = float64(cache.Hits) / float64(lookups)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_cache_hit_ratio Replay-cache hits over lookups since start (0 before the first lookup).\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_cache_hit_ratio gauge\n")
-	fmt.Fprintf(w, "pwrsimd_cache_hit_ratio %g\n", ratio)
-
-	fmt.Fprintf(w, "# HELP pwrsimd_requests_total Finished requests by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_requests_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimd_requests_total{route=%q} %d\n", r, snap[r].count)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_request_errors_total Non-2xx requests by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_request_errors_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimd_request_errors_total{route=%q} %d\n", r, snap[r].errors)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_request_seconds_sum Summed request latency by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_request_seconds_sum counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimd_request_seconds_sum{route=%q} %g\n", r, snap[r].totalSeconds)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_request_seconds_max Worst observed request latency by route.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_request_seconds_max gauge\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "pwrsimd_request_seconds_max{route=%q} %g\n", r, snap[r].maxSeconds)
-	}
-
-	fmt.Fprintf(w, "# HELP pwrsimd_stage_errors_total Error envelopes by originating pipeline stage.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_stage_errors_total counter\n")
-	for _, st := range stagerr.Stages() {
-		fmt.Fprintf(w, "pwrsimd_stage_errors_total{stage=%q} %d\n", st, stageSnap[st].errors)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_stage_seconds_sum Summed latency of timed pipeline-stage spans.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_stage_seconds_sum counter\n")
-	for _, st := range stagerr.Stages() {
-		fmt.Fprintf(w, "pwrsimd_stage_seconds_sum{stage=%q} %g\n", st, stageSnap[st].totalSeconds)
-	}
-	fmt.Fprintf(w, "# HELP pwrsimd_stage_seconds_count Timed pipeline-stage spans.\n")
-	fmt.Fprintf(w, "# TYPE pwrsimd_stage_seconds_count counter\n")
-	for _, st := range stagerr.Stages() {
-		fmt.Fprintf(w, "pwrsimd_stage_seconds_count{stage=%q} %d\n", st, stageSnap[st].spans)
-	}
+func (m *metrics) observe(route string, d time.Duration, isErr bool) {
+	m.requests.Add(route, 1)
+	m.requestErrors.Add(route, boolValue(isErr))
+	m.requestSeconds.Add(route, d.Seconds())
+	m.requestSecondsMax.Max(route, d.Seconds())
 }

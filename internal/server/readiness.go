@@ -38,11 +38,11 @@ type ReadyBody struct {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch s.state.Load() {
 	case stateReady:
-		writeJSON(w, http.StatusOK, ReadyBody{Status: "ready"})
+		WriteJSON(w, http.StatusOK, ReadyBody{Status: "ready"})
 	case stateDraining:
-		writeJSON(w, http.StatusServiceUnavailable, ReadyBody{Status: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, ReadyBody{Status: "draining"})
 	default:
-		writeJSON(w, http.StatusServiceUnavailable, ReadyBody{Status: "starting"})
+		WriteJSON(w, http.StatusServiceUnavailable, ReadyBody{Status: "starting"})
 	}
 }
 

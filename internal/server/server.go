@@ -27,20 +27,20 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dimemas"
 	"repro/internal/faults"
+	"repro/internal/memo"
 	"repro/internal/power"
 	"repro/internal/stagerr"
 	"repro/internal/trace"
@@ -107,44 +107,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// traceKey identifies one memoized generated workload.
-type traceKey struct {
-	app        string
-	nprocs     int
-	iterations int
-	quick      bool
-}
-
-// traceEntry single-flights one workload generation.
-type traceEntry struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-// traceItem pairs a key with its entry for LRU eviction.
-type traceItem struct {
-	key   traceKey
-	entry *traceEntry
-}
-
 // Server is the pwrsimd HTTP daemon. Create it with New; it is ready to
 // serve via Handler (tests), Serve (custom listener) or ListenAndServe.
 type Server struct {
 	cfg      Config
 	cache    *dimemas.ReplayCache
-	reg      *registry
+	traces   *memo.Memo[string, *trace.Trace] // generated workloads by TraceRef.Key
+	reg      *metrics
 	mux      *http.ServeMux
 	root     http.Handler
 	http     *http.Server
-	sem      chan struct{}
+	sem      chan struct{} // one slot per running simulation request
 	platform dimemas.Platform
 	power    power.Config
 	state    atomic.Int32 // starting → ready → draining (see readiness.go)
-
-	tmu    sync.Mutex
-	traces map[traceKey]*list.Element
-	tlru   *list.List // front = most recently used; values are *traceItem
 }
 
 // New builds a Server over the default platform and power model.
@@ -153,32 +129,49 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		cache:    dimemas.NewReplayCacheWithLimit(cfg.CacheEntries),
-		reg:      newRegistry(),
+		traces:   memo.New[string, *trace.Trace](cfg.TraceCacheEntries),
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		platform: cfg.Platform,
 		power:    power.DefaultConfig(),
-		traces:   make(map[traceKey]*list.Element),
-		tlru:     list.New(),
 	}
+	s.reg = newMetrics(s)
 	s.routes()
 	s.root = s.withLifecycle(s.mux)
 	s.http = &http.Server{Addr: cfg.Addr, Handler: s.root}
 	return s
 }
 
+// routePaths lists every path routes registers. RouteLabel bounds the
+// gateway's proxy route labels by it.
+var routePaths = []string{
+	"/healthz", "/readyz", "/metrics", "/v1/apps",
+	"/v1/replay", "/v1/analyze", "/v1/analyze/batch", "/v1/gearopt",
+	"/v1/powercap", "/v1/rebalance", "/v1/tracegen",
+}
+
+// RouteLabel maps a request path onto a bounded metric label: the path
+// itself when the daemon serves it, "other" for anything else, so junk
+// paths cannot mint unbounded label series.
+func RouteLabel(path string) string {
+	if slices.Contains(routePaths, path) {
+		return path
+	}
+	return "other"
+}
+
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", s.reg)
 	s.mux.HandleFunc("GET /v1/apps", s.instrument("/v1/apps", s.handleApps))
-	s.mux.HandleFunc("POST /v1/replay", s.limited("/v1/replay", s.handleReplay))
-	s.mux.HandleFunc("POST /v1/analyze", s.limited("/v1/analyze", s.handleAnalyze))
-	s.mux.HandleFunc("POST /v1/analyze/batch", s.limited("/v1/analyze/batch", s.handleAnalyzeBatch))
-	s.mux.HandleFunc("POST /v1/gearopt", s.limited("/v1/gearopt", s.handleGearOpt))
-	s.mux.HandleFunc("POST /v1/powercap", s.limited("/v1/powercap", s.handlePowercap))
-	s.mux.HandleFunc("POST /v1/rebalance", s.limited("/v1/rebalance", s.handleRebalance))
-	s.mux.HandleFunc("POST /v1/tracegen", s.limited("/v1/tracegen", s.handleTracegen))
+	s.mux.HandleFunc("POST /v1/replay", endpoint(s, "/v1/replay", s.replay))
+	s.mux.HandleFunc("POST /v1/analyze", endpoint(s, "/v1/analyze", s.analyze))
+	s.mux.HandleFunc("POST /v1/analyze/batch", endpoint(s, "/v1/analyze/batch", s.analyzeBatch))
+	s.mux.HandleFunc("POST /v1/gearopt", endpoint(s, "/v1/gearopt", s.gearOpt))
+	s.mux.HandleFunc("POST /v1/powercap", endpoint(s, "/v1/powercap", s.powercap))
+	s.mux.HandleFunc("POST /v1/rebalance", endpoint(s, "/v1/rebalance", s.rebalance))
+	s.mux.HandleFunc("POST /v1/tracegen", endpoint(s, "/v1/tracegen", s.tracegen))
 }
 
 // Handler exposes the full handler chain — lifecycle middleware (request
@@ -224,47 +217,19 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// semToken ties one in-flight semaphore slot to the lifetime of the actual
-// simulation work. A request that times out (504) abandons its goroutine
-// but must NOT free the slot early, or MaxInFlight would stop bounding the
-// number of concurrently running simulations; the work goroutine frees the
-// token when it really finishes.
-type semToken struct {
-	mu       sync.Mutex
-	claimed  bool
-	released bool
-	release  func()
-}
-
-// claim transfers release responsibility to a work goroutine; it returns
-// false if another call already owns the token.
-func (t *semToken) claim() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.claimed {
-		return false
-	}
-	t.claimed = true
-	return true
-}
-
-// free releases the semaphore slot exactly once.
-func (t *semToken) free() {
-	t.mu.Lock()
-	done := t.released
-	t.released = true
-	t.mu.Unlock()
-	if !done {
-		t.release()
-	}
-}
-
-type semTokenKey struct{}
-
-// limited wraps a simulation handler with the in-flight semaphore, the
-// per-request timeout and metrics. Handlers receive a request whose context
-// carries the deadline and the semaphore token consumed by call.
-func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
+// endpoint serves one simulation route. It takes an in-flight slot (503
+// when none is free), bounds the body by MaxBodyBytes and the request by
+// RequestTimeout, strictly decodes the body into a Req and runs run on a
+// goroutine, answering its response as JSON or its error as an envelope.
+// The goroutine owns the slot until run truly returns, so a 504'd request's
+// abandoned work keeps its slot and MaxInFlight bounds running
+// simulations, not just attached requests; since every run threads ctx
+// into the replay, retiming and generation loops (dimemas.Options.Ctx,
+// analysis.Config.Ctx, workload.Config.Ctx, ...), timed-out work aborts at
+// its next cancellation check and the slot frees promptly. Work cancelled
+// mid-flight is never memoized (internal/memo), so the shared caches never
+// serve a dead request's cancellation to later callers.
+func endpoint[Req, Resp any](s *Server, route string, run func(context.Context, *Req) (*Resp, error)) http.HandlerFunc {
 	return s.instrument(route, func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
@@ -275,66 +240,52 @@ func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
 				fmt.Sprintf("server at capacity (%d in flight)", cap(s.sem)))
 			return
 		}
-		token := &semToken{release: func() { <-s.sem }}
+		handedOff := false
 		defer func() {
-			// If no call() claimed the token (e.g. the body failed to
-			// decode), the slot is still ours to free.
-			if !token.claim() {
-				return
+			if !handedOff {
+				<-s.sem
 			}
-			token.free()
 		}()
 		s.reg.enter()
 		defer s.reg.exit()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		ctx = context.WithValue(ctx, semTokenKey{}, token)
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		h(w, r.WithContext(ctx))
+		var req Req
+		if err := decode(r, &req); err != nil {
+			s.finishErr(w, r, err)
+			return
+		}
+		type outcome struct {
+			resp *Resp
+			err  error
+		}
+		done := make(chan outcome, 1)
+		handedOff = true
+		go func() {
+			defer func() { <-s.sem }()
+			resp, err := run(ctx, &req)
+			done <- outcome{resp, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				s.finishErr(w, r, o.err)
+				return
+			}
+			WriteJSON(w, http.StatusOK, o.resp)
+		case <-ctx.Done():
+			s.finishErr(w, r, ctx.Err())
+		}
 	})
 }
 
-// call runs f off-handler and returns its result, or ctx's error if the
-// deadline fires first. The in-flight slot is held until f truly returns,
-// so MaxInFlight bounds running simulations, not just attached requests —
-// but since the handlers thread ctx into the replay/retiming loops and
-// into workload generation's calibration replays (dimemas.Options.Ctx,
-// analysis.Config.Ctx, gearopt.Config.Ctx, workload.Config.Ctx), a
-// timed-out f aborts at its next cancellation check and the slot frees
-// promptly. A replay or generation cancelled mid-flight is not memoized,
-// so the shared caches never serve a dead request's cancellation to later
-// callers.
-func call[T any](ctx context.Context, f func() (T, error)) (T, error) {
-	token, _ := ctx.Value(semTokenKey{}).(*semToken)
-	owned := token != nil && token.claim()
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		if owned {
-			defer token.free()
-		}
-		v, err := f()
-		ch <- outcome{v, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
-}
-
 // traceFor resolves a TraceRef: inline text is parsed per request;
-// generated workloads are memoized so every request for the same instance
-// shares one trace identity — the property the replay cache keys on. The
-// request context is threaded into the calibration replays so a timed-out
-// request stops generating promptly; a generation aborted that way is not
-// memoized (waiters with live contexts retry, bounded, then generate
-// uncached rather than loop on repeatedly cancelled peers).
+// generated workloads are memoized under TraceRef.Key so every request for
+// the same instance shares one trace identity — the property the replay
+// cache keys on. The request context is threaded into the calibration
+// replays so a timed-out request stops generating promptly; the memo never
+// keeps a generation aborted that way.
 func (s *Server) traceFor(ctx context.Context, spec TraceRef) (*trace.Trace, error) {
 	return span(s, stagerr.Parse, func() (*trace.Trace, error) { return s.traceResolve(ctx, spec) })
 }
@@ -359,71 +310,18 @@ func (s *Server) traceResolve(ctx context.Context, spec TraceRef) (*trace.Trace,
 	if iters == 0 {
 		iters = workload.DefaultConfig().Iterations
 	}
-	generate := func() (*trace.Trace, error) {
+	return s.traces.Do(ctx, generatedKey(inst, iters, spec.Quick), func() (*trace.Trace, error) {
 		cfg := workload.DefaultConfig()
 		cfg.Iterations = iters
 		cfg.SkipPECalibration = spec.Quick
 		cfg.Ctx = ctx
 		return workload.Generate(inst, cfg)
-	}
-	k := traceKey{app: inst.Name, nprocs: inst.NProcs, iterations: iters, quick: spec.Quick}
-	for attempt := 0; ; attempt++ {
-		e := s.traceEntryFor(k)
-		e.once.Do(func() { e.tr, e.err = generate() })
-		if e.err == nil || !isCtxErr(e.err) {
-			return e.tr, e.err
-		}
-		s.tmu.Lock()
-		if el, ok := s.traces[k]; ok && el.Value.(*traceItem).entry == e {
-			s.tlru.Remove(el)
-			delete(s.traces, k)
-		}
-		s.tmu.Unlock()
-		if ctx != nil {
-			if own := ctx.Err(); own != nil {
-				return nil, own
-			}
-		}
-		if attempt >= 2 {
-			return generate()
-		}
-	}
+	})
 }
 
-// traceEntryFor returns the single-flight memo entry for k, inserting (and
-// possibly LRU-evicting) under the lock.
-func (s *Server) traceEntryFor(k traceKey) *traceEntry {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	if el, ok := s.traces[k]; ok {
-		s.tlru.MoveToFront(el)
-		return el.Value.(*traceItem).entry
-	}
-	e := &traceEntry{}
-	s.traces[k] = s.tlru.PushFront(&traceItem{key: k, entry: e})
-	// Bound the memo: a long-running daemon must not accumulate one
-	// trace per distinct (app, nprocs, iterations, quick) tuple
-	// forever. Replay-cache entries keyed by an evicted trace simply
-	// age out of that LRU in turn.
-	if max := s.cfg.TraceCacheEntries; max > 0 && s.tlru.Len() > max {
-		back := s.tlru.Back()
-		s.tlru.Remove(back)
-		delete(s.traces, back.Value.(*traceItem).key)
-	}
-	return e
-}
-
-// isCtxErr mirrors the replay cache's classification of non-memoizable
-// cancellation errors. The whole single-flight-with-ctx-eviction pattern
-// in traceFor deliberately parallels dimemas.ReplayCache.flight /
-// retryAfterCtxError (the entry payloads and eviction policies differ);
-// keep behavioral changes to one in sync with the other.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// writeJSON writes v as a compact JSON body with a trailing newline.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a compact JSON body with a trailing newline. The
+// daemon and the gateway write every JSON response through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
@@ -434,17 +332,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(b, '\n'))
 }
 
-// writeError emits the daemon's error envelope: the message, the stage the
-// failure originated in, and the request ID assigned by the lifecycle
-// middleware. Every error response, on every route, goes through here, so
-// the per-stage error counters see all of them.
+// WriteError writes the fleet's error envelope: the message, the stage the
+// failure originated in, and the request ID. The gateway answers its own
+// failures through it with stage "gateway", so a client sees one error
+// grammar from either tier.
+func WriteError(w http.ResponseWriter, status int, stage stagerr.Stage, id, msg string) {
+	WriteJSON(w, status, ErrorBody{Error: msg, Stage: string(stage), RequestID: id})
+}
+
+// writeError emits the daemon's envelope with the request ID assigned by
+// the lifecycle middleware. Every error response, on every route, goes
+// through here, so the per-stage error counters see all of them.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, stage stagerr.Stage, msg string) {
 	s.reg.stageError(stage)
-	writeJSON(w, status, ErrorBody{
-		Error:     msg,
-		Stage:     string(stage),
-		RequestID: requestID(r.Context()),
-	})
+	WriteError(w, status, stage, requestID(r.Context()), msg)
 }
 
 // decode strictly parses a JSON request body. It doubles as the handler-I/O
@@ -462,23 +363,23 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// statusClientClosedRequest is nginx's non-standard code for a client that
+// StatusClientClosedRequest is nginx's non-standard code for a client that
 // hung up before the response; it keeps abandoned requests out of the 504
 // timeout accounting.
-const statusClientClosedRequest = 499
+const StatusClientClosedRequest = 499
 
 // finishErr maps a pipeline error onto a status code and an envelope. The
 // stage is the error's origin (innermost stagerr tag); untagged errors and
 // request-lifecycle outcomes (timeout, client hangup) report as the serve
 // stage. Injected faults answer 500 — the request was well-formed; the
 // server broke — where ordinary pipeline errors are the client's 400.
-func finishErr(s *Server, w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) finishErr(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.reg.timeout()
 		s.writeError(w, r, http.StatusGatewayTimeout, stagerr.Serve, "request timed out")
 	case errors.Is(err, context.Canceled):
-		s.writeError(w, r, statusClientClosedRequest, stagerr.Serve, "client closed request")
+		s.writeError(w, r, StatusClientClosedRequest, stagerr.Serve, "client closed request")
 	default:
 		stage := stagerr.Serve
 		if st, ok := stagerr.StageOf(err); ok {

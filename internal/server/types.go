@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"strings"
 
@@ -46,7 +47,7 @@ const (
 // TraceRef selects the trace a request operates on: either an inline trace
 // in the text format, or a synthetic Table 3 workload generated (and
 // memoized) server-side. Generated workloads share one trace instance per
-// (app, nprocs, iterations, quick) tuple, which is what lets the shared
+// Key (resolved instance, iterations, quick), which is what lets the shared
 // replay cache turn repeated what-if queries on the same application into
 // cache hits. Every request type carries exactly one TraceRef (gearopt, a
 // list), so trace selection is validated in one place.
@@ -100,6 +101,36 @@ func (s *TraceRef) instance() (workload.Instance, error) {
 		return inst, stagerr.Wrap(stagerr.Validate, err)
 	}
 	return inst, nil
+}
+
+// Key is the canonical identity of the trace t selects. Every spelling of
+// one generated workload — by instance name or by (app, nprocs), with
+// iterations omitted or explicit at the default — has one key; an inline
+// trace keys on a hash of its text. The daemon memoizes generated traces
+// under it and the gateway shards on it, so requests that share a backend
+// trace share a shard. Key does not validate: an unresolvable app keys on
+// its spelling, and the backend rejects it wherever it lands.
+func (t TraceRef) Key() string {
+	if t.Text != "" {
+		h := uint64(14695981039346656037) // FNV-1a
+		for i := 0; i < len(t.Text); i++ {
+			h = (h ^ uint64(t.Text[i])) * 1099511628211
+		}
+		return fmt.Sprintf("text:%016x", h)
+	}
+	inst, err := t.instance()
+	if err != nil {
+		inst = workload.Instance{Name: t.App, NProcs: t.NProcs}
+	}
+	iters := t.Iterations
+	if iters == 0 {
+		iters = workload.DefaultConfig().Iterations
+	}
+	return generatedKey(inst, iters, t.Quick)
+}
+
+func generatedKey(inst workload.Instance, iterations int, quick bool) string {
+	return fmt.Sprintf("app:%s|n=%d|i=%d|q=%t", inst.Name, inst.NProcs, iterations, quick)
 }
 
 // GearSpec holds the frequency-model parameters every simulation request
