@@ -546,8 +546,12 @@ func run(cfg Config) (*Result, error) {
 			// Ranks sit in the runtime (communication-phase power) while
 			// the coordination and the gear transitions are paid for.
 			itTime += cfg.ReassignOverhead
-			for _, g := range l.gears {
-				energy += cfg.ReassignOverhead * pm.Power(power.Comm, g)
+			for r, g := range l.gears {
+				e := cfg.ReassignOverhead * pm.Power(power.Comm, g)
+				if l.pscale != nil {
+					e *= l.pscale[r]
+				}
+				energy += e
 			}
 		}
 		peak, err := l.peakOf(exec)

@@ -409,3 +409,46 @@ func TestSkeletonSharedAcrossRuns(t *testing.T) {
 		t.Errorf("second run added %d skeleton misses, want 0", st.Misses-misses)
 	}
 }
+
+// TestReassignOverheadHonorsPowerScale checks that the re-assignment
+// overhead is charged at each rank's scaled draw like every other energy
+// term: a uniform power scale of 2 doubles every iteration's energy — and
+// the total — exactly (doubling is exact in floating point), while times
+// and decisions stay put.
+func TestReassignOverheadHonorsPowerScale(t *testing.T) {
+	tr := genTrace(t, "IS-32", 3)
+	cfg := Config{
+		Trace:            tr,
+		Set:              sixGears(t),
+		Policy:           PolicyEveryK,
+		Iterations:       8,
+		Drift:            workload.Drift{Kind: workload.DriftRamp, Magnitude: 0.4, Jitter: 0.03, Seed: 5},
+		ReassignOverhead: 5e-3,
+	}
+	flat, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := make([]float64, tr.NumRanks())
+	for r := range scale {
+		scale[r] = 2
+	}
+	cfg.Machine = &dimemas.Machine{Cap: &dimemas.Capability{PowerScale: scale}}
+	doubled, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.Reassignments == 0 {
+		t.Fatal("scenario never re-assigned: the overhead is not exercised")
+	}
+	for i, it := range flat.Iterations {
+		got := doubled.Iterations[i]
+		if got.Energy != 2*it.Energy || got.Time != it.Time {
+			t.Errorf("iteration %d (rebalanced %t): energy %v time %v, want %v and %v",
+				i, it.Rebalanced, got.Energy, got.Time, 2*it.Energy, it.Time)
+		}
+	}
+	if doubled.TotalEnergy != 2*flat.TotalEnergy {
+		t.Errorf("total energy %v, want %v", doubled.TotalEnergy, 2*flat.TotalEnergy)
+	}
+}
