@@ -32,7 +32,7 @@ type Config struct {
 	// inherits the normalized Platform.
 	Machine *dimemas.Machine
 	// Power configures the CPU power model; zero value means the paper's
-	// baseline (ratio 1.5, static 20 %).
+	// baseline (ratio 1.5, static 20 %, see power.New).
 	Power power.Config
 	// Set is the available DVFS gear set.
 	Set *dvfs.Set
@@ -102,45 +102,102 @@ type Result struct {
 // ErrNilTrace reports a missing trace.
 var ErrNilTrace = errors.New("analysis: config needs a trace")
 
-func (c *Config) normalize() (dimemas.Env, error) {
+// baseline is what Run and RunBatch share before any gear is assigned: the
+// resolved model, the power model, the replay options, the original
+// (all-ranks-at-FMax) execution with its balance metrics, and its cost.
+type baseline struct {
+	env    dimemas.Env
+	pm     *power.Model
+	cache  *dimemas.ReplayCache
+	opts   dimemas.Options
+	orig   *dimemas.Result
+	lb, pe float64
+	stats  RunStats
+}
+
+// prelude validates cfg and computes its baseline. A batch needs no gear
+// set, never records timelines, and always replays through a cache — a
+// private one when cfg.Cache is nil, since its skeleton must be built
+// regardless. Configuration problems carry the validate stage.
+func (c *Config) prelude(batch bool) (*baseline, error) {
 	if c.Trace == nil {
-		return dimemas.Env{}, ErrNilTrace
+		return nil, stagerr.Wrap(stagerr.Validate, ErrNilTrace)
 	}
-	if c.Set == nil {
-		return dimemas.Env{}, core.ErrNilSet
+	if !batch && c.Set == nil {
+		return nil, stagerr.Wrap(stagerr.Validate, core.ErrNilSet)
 	}
-	return c.normalizeShared()
+	env, err := dimemas.NewEnv(c.Platform, c.Machine, c.Beta, c.BetaSet, c.FMax, c.Trace.NumRanks())
+	if err != nil {
+		return nil, stagerr.Wrap(stagerr.Validate, err)
+	}
+	if batch && c.RecordTimelines {
+		return nil, stagerr.New(stagerr.Validate, "analysis: batch runs do not record timelines")
+	}
+	// Warm-cache runs touch no cancellation point inside the replays; bail
+	// out here so loops of Runs (batch serving, searches) stay responsive.
+	if c.Ctx != nil {
+		if err := c.Ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	pm, err := power.New(c.Power)
+	if err != nil {
+		return nil, err
+	}
+	b := &baseline{env: env, pm: pm, cache: c.Cache, opts: env.Options(c.Ctx)}
+	if batch && b.cache == nil {
+		b.cache = dimemas.NewReplayCache()
+	}
+	b.opts.RecordTimeline = c.RecordTimelines
+	// A precomputed baseline short-circuits the replay; otherwise the cache
+	// (nil-safe: a nil cache simulates directly) memoizes it across runs.
+	b.orig = c.Baseline
+	if b.orig == nil {
+		if b.orig, err = b.cache.OriginalMachine(c.Trace, env.Machine, b.opts); err != nil {
+			return nil, fmt.Errorf("analysis: original replay: %w", err)
+		}
+	}
+	if b.lb, err = metrics.LoadBalance(b.orig.Compute); err != nil {
+		return nil, err
+	}
+	if b.pe, err = metrics.ParallelEfficiency(b.orig.Compute, b.orig.Time); err != nil {
+		return nil, err
+	}
+	nominal := make([]dvfs.Gear, len(b.orig.Compute))
+	for r := range nominal {
+		nominal[r] = dvfs.GearAt(env.FMax)
+	}
+	b.stats, err = runStats(pm, b.orig, nominal, env.Machine.PowerScales())
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
-// normalizeShared validates and defaults the fields a batched analysis
-// shares across items — everything except the per-item gear set — and
-// resolves the model the pipeline replays under.
-func (c *Config) normalizeShared() (dimemas.Env, error) {
-	if c.Trace == nil {
-		return dimemas.Env{}, ErrNilTrace
-	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
-	return dimemas.NewEnv(c.Platform, c.Machine, c.Beta, c.BetaSet, c.FMax, c.Trace.NumRanks())
+// assign balances the original per-process computation times over set,
+// honoring per-rank frequency ceilings on heterogeneous machines.
+func (b *baseline) assign(set *dvfs.Set, alg core.Algorithm, rounding core.Rounding) (*core.Assignment, error) {
+	balancer := &core.Balancer{Set: set, Beta: b.env.Beta, FMax: b.env.FMax, Rounding: rounding, FMaxes: b.env.Machine.FMaxes()}
+	return balancer.Assign(alg, b.orig.Compute)
 }
 
-// capFMaxes returns the machine's per-rank frequency ceilings for the
-// balancer, nil when every rank may use the whole gear set.
-func capFMaxes(m *dimemas.Machine) []float64 {
-	if m.Cap == nil {
-		return nil
+// result accounts the DVFS execution next of assignment a against the
+// baseline. Each CPU is powered for the whole run at its assigned gear;
+// whatever is not computation is communication/wait.
+func (b *baseline) result(app string, a *core.Assignment, next *dimemas.Result) (*Result, error) {
+	newStats, err := runStats(b.pm, next, a.Gears, b.env.Machine.PowerScales())
+	if err != nil {
+		return nil, err
 	}
-	return m.Cap.FMax
-}
-
-// powerScales returns the machine's per-rank power multipliers for the
-// energy accounting, nil on homogeneous machines.
-func powerScales(m *dimemas.Machine) []float64 {
-	if m.Cap == nil {
-		return nil
-	}
-	return m.Cap.PowerScale
+	return &Result{
+		App:        app,
+		Assignment: a,
+		Orig:       b.stats,
+		New:        newStats,
+		Norm:       metrics.NewResult(b.stats.Energy, b.stats.Time, newStats.Energy, newStats.Time),
+		LB:         b.lb,
+		PE:         b.pe,
+	}, nil
 }
 
 // Run executes the full pipeline. Errors are stage-tagged
@@ -156,105 +213,28 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func run(cfg Config) (*Result, error) {
-	env, err := cfg.normalize()
-	if err != nil {
-		return nil, stagerr.Wrap(stagerr.Validate, err)
-	}
-	// Warm-cache runs touch no cancellation point inside the replays; bail
-	// out here so loops of Runs (batch serving, searches) stay responsive.
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	pm, err := power.New(cfg.Power)
+	b, err := cfg.prelude(false)
 	if err != nil {
 		return nil, err
 	}
-	// Original execution: every rank at the nominal top frequency. A
-	// precomputed baseline short-circuits the replay; otherwise the cache
-	// (nil-safe: a nil cache simulates directly) memoizes it across runs.
-	simOpts := env.Options(cfg.Ctx)
-	simOpts.RecordTimeline = cfg.RecordTimelines
-	orig := cfg.Baseline
-	if orig == nil {
-		orig, err = cfg.Cache.OriginalMachine(cfg.Trace, env.Machine, simOpts)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: original replay: %w", err)
-		}
-	}
-	lb, err := metrics.LoadBalance(orig.Compute)
+	assignment, err := b.assign(cfg.Set, cfg.Algorithm, cfg.Rounding)
 	if err != nil {
 		return nil, err
 	}
-	pe, err := metrics.ParallelEfficiency(orig.Compute, orig.Time)
-	if err != nil {
-		return nil, err
-	}
-
-	// Frequency assignment from the original per-process computation times,
-	// honoring per-rank frequency ceilings on heterogeneous machines.
-	balancer := &core.Balancer{Set: cfg.Set, Beta: env.Beta, FMax: env.FMax, Rounding: cfg.Rounding, FMaxes: capFMaxes(&env.Machine)}
-	assignment, err := balancer.Assign(cfg.Algorithm, orig.Compute)
-	if err != nil {
-		return nil, err
-	}
-
 	// Replay with per-rank frequencies. With a cache this is a retiming of
 	// the memoized timing skeleton — bit-identical to a fresh simulation;
 	// without one it degrades to a plain Simulate call.
-	newOpts := simOpts
-	newOpts.Freqs = assignment.Freqs()
-	next, err := cfg.Cache.ReplayMachine(cfg.Trace, env.Machine, newOpts)
+	opts := b.opts
+	opts.Freqs = assignment.Freqs()
+	next, err := b.cache.ReplayMachine(cfg.Trace, b.env.Machine, opts)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: DVFS replay: %w", err)
 	}
-
-	// Energy accounting: each CPU is powered for the whole run at its
-	// assigned gear; whatever is not computation is communication/wait.
-	nominal := dvfs.GearAt(env.FMax)
-	scales := powerScales(&env.Machine)
-	origStats, err := runStats(pm, orig, uniformGears(len(orig.Compute), nominal), scales)
-	if err != nil {
-		return nil, err
-	}
-	newStats, err := runStats(pm, next, assignment.Gears, scales)
-	if err != nil {
-		return nil, err
-	}
-
-	return &Result{
-		App:        cfg.Trace.App,
-		Assignment: assignment,
-		Orig:       origStats,
-		New:        newStats,
-		Norm:       metrics.NewResult(origStats.Energy, origStats.Time, newStats.Energy, newStats.Time),
-		LB:         lb,
-		PE:         pe,
-	}, nil
-}
-
-func uniformGears(n int, g dvfs.Gear) []dvfs.Gear {
-	out := make([]dvfs.Gear, n)
-	for i := range out {
-		out[i] = g
-	}
-	return out
+	return b.result(cfg.Trace.App, assignment, next)
 }
 
 func runStats(pm *power.Model, res *dimemas.Result, gears []dvfs.Gear, scales []float64) (RunStats, error) {
-	usages := make([]power.Usage, len(res.Compute))
-	for r := range usages {
-		usages[r] = power.Usage{
-			Gear:        gears[r],
-			ComputeTime: res.Compute[r],
-			CommTime:    res.Comm(r),
-		}
-		if scales != nil {
-			usages[r].Scale = scales[r]
-		}
-	}
-	b, err := pm.EnergyBreakdown(usages)
+	b, err := pm.Account(res, gears, scales)
 	if err != nil {
 		return RunStats{}, err
 	}

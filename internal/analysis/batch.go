@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dimemas"
 	"repro/internal/dvfs"
-	"repro/internal/metrics"
-	"repro/internal/power"
 	"repro/internal/stagerr"
 )
 
@@ -48,54 +45,14 @@ func RunBatch(cfg Config, items []BatchItem) (results []*Result, errs []error, e
 }
 
 func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
-	env, err := cfg.normalizeShared()
-	if err != nil {
-		return nil, nil, stagerr.Wrap(stagerr.Validate, err)
-	}
-	if cfg.RecordTimelines {
-		return nil, nil, stagerr.New(stagerr.Validate, "analysis: batch runs do not record timelines")
-	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-	}
-	pm, err := power.New(cfg.Power)
+	// Shared stages, computed once.
+	b, err := cfg.prelude(true)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Shared stages, computed once. A nil cache gets a private one: the
-	// skeleton must be built regardless, and its retimings are bit-identical
-	// to the fresh simulations an uncached Run performs.
-	cache := cfg.Cache
-	if cache == nil {
-		cache = dimemas.NewReplayCache()
-	}
-	simOpts := env.Options(cfg.Ctx)
-	orig := cfg.Baseline
-	if orig == nil {
-		orig, err = cache.OriginalMachine(cfg.Trace, env.Machine, simOpts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("analysis: original replay: %w", err)
-		}
-	}
-	lb, err := metrics.LoadBalance(orig.Compute)
-	if err != nil {
-		return nil, nil, err
-	}
-	pe, err := metrics.ParallelEfficiency(orig.Compute, orig.Time)
-	if err != nil {
-		return nil, nil, err
-	}
-	skel, err := cache.SkeletonForMachine(cfg.Trace, env.Machine, simOpts)
+	skel, err := b.cache.SkeletonForMachine(cfg.Trace, b.env.Machine, b.opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: timing skeleton: %w", err)
-	}
-	nominal := dvfs.GearAt(env.FMax)
-	scales := powerScales(&env.Machine)
-	origStats, err := runStats(pm, orig, uniformGears(len(orig.Compute), nominal), scales)
-	if err != nil {
-		return nil, nil, err
 	}
 
 	// Per-item assignments. Failed items keep their error; the survivors'
@@ -110,8 +67,7 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 			errs[i] = stagerr.Wrap(stagerr.Validate, core.ErrNilSet)
 			continue
 		}
-		balancer := &core.Balancer{Set: item.Set, Beta: env.Beta, FMax: env.FMax, Rounding: item.Rounding, FMaxes: capFMaxes(&env.Machine)}
-		a, err := balancer.Assign(item.Algorithm, orig.Compute)
+		a, err := b.assign(item.Set, item.Algorithm, item.Rounding)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -127,21 +83,8 @@ func runBatch(cfg Config, items []BatchItem) ([]*Result, []error, error) {
 			return nil, nil, fmt.Errorf("analysis: batch replay: %w", err)
 		}
 		for k, i := range live {
-			res := batch.At(k)
-			newStats, err := runStats(pm, &res, assignments[i].Gears, scales)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			results[i] = &Result{
-				App:        cfg.Trace.App,
-				Assignment: assignments[i],
-				Orig:       origStats,
-				New:        newStats,
-				Norm:       metrics.NewResult(origStats.Energy, origStats.Time, newStats.Energy, newStats.Time),
-				LB:         lb,
-				PE:         pe,
-			}
+			next := batch.At(k)
+			results[i], errs[i] = b.result(cfg.Trace.App, assignments[i], &next)
 		}
 	}
 	return results, errs, nil

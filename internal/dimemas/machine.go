@@ -275,21 +275,24 @@ func (m *Machine) ScaleVector() []float64 {
 	return scale
 }
 
-// RankFMax returns rank r's top frequency: the capability entry when set,
-// the global fallback otherwise.
-func (m *Machine) RankFMax(r int, global float64) float64 {
-	if m.Cap != nil && r < len(m.Cap.FMax) && m.Cap.FMax[r] > 0 {
-		return m.Cap.FMax[r]
+// FMaxes returns the per-rank top frequencies of the capability layer
+// (Capability.FMax; a zero entry means the global top), or nil when the
+// machine — possibly nil — caps no rank.
+func (m *Machine) FMaxes() []float64 {
+	if m == nil || m.Cap == nil {
+		return nil
 	}
-	return global
+	return m.Cap.FMax
 }
 
-// RankPowerScale returns rank r's power multiplier (1 when homogeneous).
-func (m *Machine) RankPowerScale(r int) float64 {
-	if m.Cap != nil && r < len(m.Cap.PowerScale) {
-		return m.Cap.PowerScale[r]
+// PowerScales returns the per-rank power multipliers of the capability
+// layer (Capability.PowerScale), or nil when every rank of the machine —
+// possibly nil — draws nominal power.
+func (m *Machine) PowerScales() []float64 {
+	if m == nil || m.Cap == nil {
+		return nil
 	}
-	return 1
+	return m.Cap.PowerScale
 }
 
 // Fingerprint canonically encodes the topology and capability layers for

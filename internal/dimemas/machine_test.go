@@ -245,15 +245,17 @@ func TestMachineValidateFor(t *testing.T) {
 	if err := ok.ValidateFor(2); err != nil {
 		t.Errorf("valid machine rejected: %v", err)
 	}
-	// Per-rank capability accessors.
-	if got := ok.RankFMax(0, 2.3); got != 2.3 {
-		t.Errorf("RankFMax(0) = %v, want global 2.3", got)
+	// Per-rank capability accessors: a zero FMax entry means the global top.
+	if got := ok.FMaxes(); len(got) != 2 || got[0] != 0 || got[1] != 2.0 {
+		t.Errorf("FMaxes() = %v, want [0 2]", got)
 	}
-	if got := ok.RankFMax(1, 2.3); got != 2.0 {
-		t.Errorf("RankFMax(1) = %v, want 2.0", got)
+	if got := ok.PowerScales(); len(got) != 2 || got[1] != 1.4 {
+		t.Errorf("PowerScales() = %v, want [1 1.4]", got)
 	}
-	if got := ok.RankPowerScale(1); got != 1.4 {
-		t.Errorf("RankPowerScale(1) = %v, want 1.4", got)
+	flat := FlatMachine(p)
+	var none *Machine
+	if flat.FMaxes() != nil || flat.PowerScales() != nil || none.FMaxes() != nil || none.PowerScales() != nil {
+		t.Error("accessors of a machine without a capability layer must return nil")
 	}
 }
 

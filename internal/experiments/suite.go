@@ -141,14 +141,10 @@ func (s *Suite) variantConfig(tr *trace.Trace, v variant) analysis.Config {
 	if beta == 0 {
 		beta = s.Beta
 	}
-	pcfg := v.power
-	if pcfg == (power.Config{}) {
-		pcfg = power.DefaultConfig()
-	}
 	return analysis.Config{
 		Trace:     tr,
 		Platform:  s.Gen.Platform,
-		Power:     pcfg,
+		Power:     v.power,
 		Set:       v.set,
 		Algorithm: v.alg,
 		Beta:      beta,

@@ -61,11 +61,13 @@ type Config struct {
 	// traces share them too. Nil means uncached (skeletons are then built
 	// once per search).
 	Cache *dimemas.ReplayCache
-	// FreshReplays scores every candidate with a full skeleton pass
-	// (Skeleton.RetimeInto) instead of the default delta retiming that
-	// re-times only the ranks whose assigned frequency changed between
-	// consecutive candidates. Results are bit-identical either way (the
-	// golden tests assert it); the flag exists as a diagnostic escape hatch.
+	// FreshReplays scores every candidate with a fresh SimulateMachine
+	// replay instead of the default delta retiming of the timing skeleton
+	// (dimemas.Scorer), which re-times only the ranks whose assigned
+	// frequency changed between consecutive candidates; no skeleton is
+	// built. Results are bit-identical either way (the golden tests assert
+	// it); the flag exists as a cross-check and to measure the skeleton's
+	// speedup.
 	FreshReplays bool
 	// Ctx optionally bounds the search: it is polled between candidate
 	// evaluations and threaded into the replays, so a cancelled caller
@@ -91,17 +93,14 @@ type Result struct {
 var ErrNoTraces = errors.New("gearopt: need at least one trace")
 
 // appProfile holds one application's frequency-independent inputs plus the
-// per-evaluation scratch buffers, preallocated once so the inner search
-// loop allocates only what the gear-set constructor and the balancer
+// per-evaluation scorer and frequency buffer, preallocated once so the inner
+// search loop allocates only what the gear-set constructor and the balancer
 // inherently return.
 type appProfile struct {
 	comp       []float64 // per-rank computation time at fmax (shared cache Result — read-only)
 	origEnergy float64
-	skel       *dimemas.Skeleton
-	res        dimemas.Result     // reusable retime output (FreshReplays path)
-	delta      dimemas.DeltaState // incremental retiming state (default path)
-	usage      []power.Usage      // reusable energy-accounting rows
-	freqs      []float64          // reusable per-rank frequency vector
+	scorer     *dimemas.Scorer
+	freqs      []float64 // reusable per-rank frequency vector
 }
 
 // searcher carries the search state; it is confined to one goroutine.
@@ -121,9 +120,6 @@ func (cfg *Config) normalize() (dimemas.Env, error) {
 	}
 	if cfg.NGears < 2 {
 		return dimemas.Env{}, fmt.Errorf("gearopt: need at least 2 gears, got %d", cfg.NGears)
-	}
-	if cfg.Power == (power.Config{}) {
-		cfg.Power = power.DefaultConfig()
 	}
 	if cfg.Grid == 0 {
 		cfg.Grid = 0.05
@@ -147,20 +143,14 @@ func newSearcher(cfg Config, env dimemas.Env) (*searcher, error) {
 		return nil, err
 	}
 	machine := env.Machine
-	var fmaxes, pscale []float64
-	if machine.Cap != nil {
-		fmaxes = machine.Cap.FMax
-		pscale = machine.Cap.PowerScale
-	}
 	s := &searcher{
 		cfg:      cfg,
 		profiles: make([]appProfile, len(cfg.Traces)),
 		pm:       pm,
-		pscale:   pscale,
-		bal:      core.Balancer{Beta: env.Beta, FMax: env.FMax, FMaxes: fmaxes},
+		pscale:   machine.PowerScales(),
+		bal:      core.Balancer{Beta: env.Beta, FMax: env.FMax, FMaxes: machine.FMaxes()},
 		gears:    make([]dvfs.Gear, cfg.NGears),
 	}
-	nominal := dvfs.GearAt(env.FMax)
 	opts := env.Options(cfg.Ctx)
 	for i, tr := range cfg.Traces {
 		if err := machine.ValidateFor(tr.NumRanks()); err != nil {
@@ -170,35 +160,29 @@ func newSearcher(cfg Config, env dimemas.Env) (*searcher, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gearopt: profiling trace %d: %w", i, err)
 		}
-		skel, err := cfg.Cache.SkeletonForMachine(tr, machine, opts)
-		if err != nil {
-			return nil, fmt.Errorf("gearopt: skeleton for trace %d: %w", i, err)
+		var skel *dimemas.Skeleton
+		if !cfg.FreshReplays {
+			if skel, err = cfg.Cache.SkeletonForMachine(tr, machine, opts); err != nil {
+				return nil, fmt.Errorf("gearopt: skeleton for trace %d: %w", i, err)
+			}
 		}
 		n := len(res.Compute)
-		p := &s.profiles[i]
-		p.comp = res.Compute
-		p.skel = skel
-		p.usage = make([]power.Usage, n)
-		p.freqs = make([]float64, n)
-		for r := 0; r < n; r++ {
-			p.usage[r] = power.Usage{Gear: nominal, ComputeTime: res.Compute[r], CommTime: res.Comm(r), Scale: s.scaleAt(r)}
+		nominal := make([]dvfs.Gear, n)
+		for r := range nominal {
+			nominal[r] = dvfs.GearAt(env.FMax)
 		}
-		e, err := pm.Energy(p.usage)
+		b, err := pm.Account(res, nominal, s.pscale)
 		if err != nil {
 			return nil, err
 		}
-		p.origEnergy = e
+		s.profiles[i] = appProfile{
+			comp:       res.Compute,
+			origEnergy: b.Total(),
+			scorer:     dimemas.NewScorer(skel, tr, machine, opts),
+			freqs:      make([]float64, n),
+		}
 	}
 	return s, nil
-}
-
-// scaleAt returns rank r's power multiplier (0 — nominal — when the machine
-// is homogeneous; power.Usage treats the zero value as ×1).
-func (s *searcher) scaleAt(r int) float64 {
-	if s.pscale == nil || r >= len(s.pscale) {
-		return 0
-	}
-	return s.pscale[r]
 }
 
 // objective scores one candidate gear placement exactly: assign MAX gears
@@ -231,30 +215,17 @@ func (s *searcher) objective(freqs []float64) (float64, error) {
 			p.freqs[r] = a.Gears[r].Freq
 		}
 		// Neighboring lattice candidates move one gear, so consecutive
-		// assignments differ only on the ranks holding that gear: delta
-		// retiming re-times just their event cone, bit-identical to the
-		// full pass the FreshReplays escape hatch keeps around.
-		res := &p.res
-		if s.cfg.FreshReplays {
-			if err := p.skel.RetimeInto(&p.res, p.freqs); err != nil {
-				return 0, err
-			}
-		} else {
-			r, err := p.skel.RetimeDelta(&p.delta, p.freqs, nil)
-			if err != nil {
-				return 0, err
-			}
-			res = r
-		}
-		for r := range p.usage {
-			ct := res.Compute[r]
-			p.usage[r] = power.Usage{Gear: a.Gears[r], ComputeTime: ct, CommTime: res.Time - ct, Scale: s.scaleAt(r)}
-		}
-		e, err := s.pm.Energy(p.usage)
+		// assignments differ only on the ranks holding that gear: the
+		// scorer's delta retiming re-times just their event cone.
+		res, err := p.scorer.Score(p.freqs, nil)
 		if err != nil {
 			return 0, err
 		}
-		sum += e / p.origEnergy
+		b, err := s.pm.Account(res, a.Gears, s.pscale)
+		if err != nil {
+			return 0, err
+		}
+		sum += b.Total() / p.origEnergy
 	}
 	return sum / float64(len(s.profiles)), nil
 }

@@ -112,7 +112,7 @@ func TestSearchEnergyEqualsFullReplayWithSharedCache(t *testing.T) {
 
 func TestFreshReplaysBitIdentical(t *testing.T) {
 	// The default search scores candidates with delta retiming; the
-	// FreshReplays escape hatch pays a full skeleton pass per candidate.
+	// FreshReplays cross-check pays a fresh SimulateMachine per candidate.
 	// The two must agree bit-for-bit on every number the search reports.
 	trs := testTraces(t)
 	del, err := Optimize(Config{Traces: trs, NGears: 4, Grid: 0.1, MaxRounds: 2})

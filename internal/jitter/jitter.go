@@ -88,9 +88,6 @@ func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Set.Continuous() {
 		return dimemas.Env{}, ErrContinuousSet
 	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
 	if c.SlackDown == 0 {
 		c.SlackDown = 0.08
 	}
@@ -128,7 +125,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Iterations: iters, FinalGears: make([]dvfs.Gear, n)}
-	nominal := dvfs.GearAt(env.FMax)
+	nominal := make([]dvfs.Gear, n)
+	cur := make([]dvfs.Gear, n)
+	for r := range nominal {
+		nominal[r] = dvfs.GearAt(env.FMax)
+	}
 
 	for it := 0; it < iters; it++ {
 		sub, err := cfg.Trace.Slice(it, it+1)
@@ -141,20 +142,17 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("jitter: iteration %d original replay: %w", it, err)
 		}
 		res.OrigTime += orig.Time
-		origUsage := make([]power.Usage, n)
-		for r := 0; r < n; r++ {
-			origUsage[r] = power.Usage{Gear: nominal, ComputeTime: orig.Compute[r], CommTime: orig.Comm(r)}
-		}
-		e0, err := pm.Energy(origUsage)
+		e0, err := pm.Account(orig, nominal, nil)
 		if err != nil {
 			return nil, err
 		}
-		res.OrigEnergy += e0
+		res.OrigEnergy += e0.Total()
 
 		// Adaptive replay with the current gears.
 		freqs := make([]float64, n)
 		for r := 0; r < n; r++ {
-			freqs[r] = gears[idx[r]].Freq
+			cur[r] = gears[idx[r]]
+			freqs[r] = cur[r].Freq
 		}
 		opts := env.Options(nil)
 		opts.Freqs = freqs
@@ -163,15 +161,11 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("jitter: iteration %d adaptive replay: %w", it, err)
 		}
 		res.Time += adapt.Time
-		usage := make([]power.Usage, n)
-		for r := 0; r < n; r++ {
-			usage[r] = power.Usage{Gear: gears[idx[r]], ComputeTime: adapt.Compute[r], CommTime: adapt.Comm(r)}
-		}
-		e1, err := pm.Energy(usage)
+		e1, err := pm.Account(adapt, cur, nil)
 		if err != nil {
 			return nil, err
 		}
-		res.Energy += e1
+		res.Energy += e1.Total()
 
 		// Gear decision for the next iteration. Like the real runtime, each
 		// node acts on its slack *relative to the most critical node*:

@@ -72,9 +72,6 @@ func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Set == nil {
 		return dimemas.Env{}, core.ErrNilSet
 	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
 	return dimemas.NewEnv(c.Platform, nil, c.Beta, c.BetaSet, c.FMax, c.Trace.NumRanks())
 }
 
@@ -94,16 +91,16 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("phased: original replay: %w", err)
 	}
-	nominal := dvfs.GearAt(env.FMax)
 	n := cfg.Trace.NumRanks()
-	origUsage := make([]power.Usage, n)
-	for r := 0; r < n; r++ {
-		origUsage[r] = power.Usage{Gear: nominal, ComputeTime: orig.Compute[r], CommTime: orig.Comm(r)}
+	nominal := make([]dvfs.Gear, n)
+	for r := range nominal {
+		nominal[r] = dvfs.GearAt(env.FMax)
 	}
-	origEnergy, err := pm.Energy(origUsage)
+	b, err := pm.Account(orig, nominal, nil)
 	if err != nil {
 		return nil, err
 	}
+	origEnergy := b.Total()
 
 	// Per-phase MAX assignments.
 	phases := cfg.Trace.PhaseComputeTimes()

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dimemas"
 	"repro/internal/dvfs"
 )
 
@@ -84,8 +85,13 @@ var (
 	ErrBadStatic = errors.New("power: static fraction must be in [0, 1)")
 )
 
-// New builds and calibrates a model.
+// New builds and calibrates a model. The zero Config is DefaultConfig();
+// any other config is validated as given, with a zero Nominal meaning the
+// FMax gear.
 func New(cfg Config) (*Model, error) {
+	if cfg == (Config{}) {
+		cfg = DefaultConfig()
+	}
 	if cfg.Nominal.Freq == 0 {
 		cfg.Nominal = dvfs.GearAt(dvfs.FMax)
 	}
@@ -145,9 +151,6 @@ type Usage struct {
 	Scale float64
 }
 
-// Total returns the wall time covered by the usage row.
-func (u Usage) Total() float64 { return u.ComputeTime + u.CommTime }
-
 // Breakdown splits an energy total into its components.
 type Breakdown struct {
 	DynamicCompute float64
@@ -171,24 +174,60 @@ func (m *Model) Energy(usages []Usage) (float64, error) {
 func (m *Model) EnergyBreakdown(usages []Usage) (Breakdown, error) {
 	var b Breakdown
 	for i, u := range usages {
-		if u.ComputeTime < 0 || u.CommTime < 0 {
-			return Breakdown{}, fmt.Errorf("power: rank %d has negative time (%v compute, %v comm)", i, u.ComputeTime, u.CommTime)
+		if err := m.add(&b, i, u.Gear, u.ComputeTime, u.CommTime, u.Scale); err != nil {
+			return Breakdown{}, err
 		}
-		if u.Gear.Freq <= 0 || u.Gear.Volt <= 0 {
-			return Breakdown{}, fmt.Errorf("power: rank %d has invalid gear %v", i, u.Gear)
-		}
-		k := u.Scale
-		if k == 0 {
-			k = 1
-		}
-		if k < 0 || math.IsNaN(k) || math.IsInf(k, 0) {
-			return Breakdown{}, fmt.Errorf("power: rank %d has invalid power scale %v", i, u.Scale)
-		}
-		b.DynamicCompute += k * m.Dynamic(Compute, u.Gear) * u.ComputeTime
-		b.DynamicComm += k * m.Dynamic(Comm, u.Gear) * u.CommTime
-		b.Static += k * m.Static(u.Gear) * u.Total()
 	}
 	return b, nil
+}
+
+// Account prices one replayed execution the way the paper scores every
+// gear assignment: rank r is powered for the whole run at gears[r],
+// computing for res.Compute[r] and communicating or waiting for the rest of
+// res.Time, with its draw multiplied by scale[r] (a nil scale means every
+// rank is nominal). It is EnergyBreakdown over the equivalent Usage rows,
+// bit for bit, without building them.
+func (m *Model) Account(res *dimemas.Result, gears []dvfs.Gear, scale []float64) (Breakdown, error) {
+	if len(gears) != len(res.Compute) {
+		return Breakdown{}, fmt.Errorf("power: %d gears for %d ranks", len(gears), len(res.Compute))
+	}
+	if scale != nil && len(scale) != len(res.Compute) {
+		return Breakdown{}, fmt.Errorf("power: %d power scales for %d ranks", len(scale), len(res.Compute))
+	}
+	var b Breakdown
+	for r, ct := range res.Compute {
+		var k float64
+		if scale != nil {
+			k = scale[r]
+		}
+		if err := m.add(&b, r, gears[r], ct, res.Time-ct, k); err != nil {
+			return Breakdown{}, err
+		}
+	}
+	return b, nil
+}
+
+// add integrates one rank's row into b: gear g for ct seconds of
+// computation and cm of communication, at power multiplier scale (0 means
+// nominal).
+func (m *Model) add(b *Breakdown, rank int, g dvfs.Gear, ct, cm, scale float64) error {
+	if ct < 0 || cm < 0 {
+		return fmt.Errorf("power: rank %d has negative time (%v compute, %v comm)", rank, ct, cm)
+	}
+	if g.Freq <= 0 || g.Volt <= 0 {
+		return fmt.Errorf("power: rank %d has invalid gear %v", rank, g)
+	}
+	k := scale
+	if k == 0 {
+		k = 1
+	}
+	if k < 0 || math.IsNaN(k) || math.IsInf(k, 0) {
+		return fmt.Errorf("power: rank %d has invalid power scale %v", rank, scale)
+	}
+	b.DynamicCompute += k * m.Dynamic(Compute, g) * ct
+	b.DynamicComm += k * m.Dynamic(Comm, g) * cm
+	b.Static += k * m.Static(g) * (ct + cm)
+	return nil
 }
 
 // StaticShareAtNominal returns static/(static+dynamic) power while computing

@@ -2,9 +2,11 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dimemas"
 	"repro/internal/dvfs"
 )
 
@@ -30,6 +32,8 @@ func TestNewValidation(t *testing.T) {
 		{"static one", Config{ActivityRatio: 1.5, StaticFraction: 1}, true},
 		{"static negative", Config{ActivityRatio: 1.5, StaticFraction: -0.1}, true},
 		{"bad nominal", Config{ActivityRatio: 1.5, StaticFraction: 0.2, Nominal: dvfs.Gear{Freq: -1, Volt: 1}}, true},
+		{"zero config = default", Config{}, false},
+		{"partial config", Config{StaticFraction: 0.2}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -38,6 +42,79 @@ func TestNewValidation(t *testing.T) {
 				t.Fatalf("err = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
+	}
+	if got := mustNew(t, Config{}).Config(); got != DefaultConfig() {
+		t.Errorf("New(Config{}) built %+v, want DefaultConfig() %+v", got, DefaultConfig())
+	}
+}
+
+// TestAccountMatchesEnergyBreakdown checks that Account over a replay
+// result is EnergyBreakdown over the equivalent Usage rows bit for bit —
+// values and errors alike — on random results, gears and power scales,
+// including rows with negative communication time, invalid gears and
+// invalid scales.
+func TestAccountMatchesEnergyBreakdown(t *testing.T) {
+	m := mustNew(t, DefaultConfig())
+	rng := rand.New(rand.NewSource(7))
+	bad := []float64{-1, math.NaN(), math.Inf(1)}
+	errRows := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(8)
+		res := &dimemas.Result{Time: 10 * rng.Float64(), Compute: make([]float64, n)}
+		gears := make([]dvfs.Gear, n)
+		var scale []float64
+		if rng.Intn(3) > 0 {
+			scale = make([]float64, n)
+		}
+		for r := 0; r < n; r++ {
+			res.Compute[r] = res.Time * rng.Float64()
+			gears[r] = dvfs.GearAt(0.4 + 2.2*rng.Float64())
+			if scale != nil {
+				scale[r] = 0.5 + 2*rng.Float64()
+				if rng.Intn(4) == 0 {
+					scale[r] = 0
+				}
+			}
+			switch rng.Intn(40) {
+			case 0:
+				res.Compute[r] = res.Time * (1 + rng.Float64()) // negative comm
+			case 1:
+				gears[r] = dvfs.Gear{}
+			case 2:
+				if scale != nil {
+					scale[r] = bad[rng.Intn(len(bad))]
+				}
+			}
+		}
+		rows := make([]Usage, n)
+		for r := range rows {
+			rows[r] = Usage{Gear: gears[r], ComputeTime: res.Compute[r], CommTime: res.Comm(r)}
+			if scale != nil {
+				rows[r].Scale = scale[r]
+			}
+		}
+		want, wantErr := m.EnergyBreakdown(rows)
+		got, gotErr := m.Account(res, gears, scale)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("trial %d: Account error %v, EnergyBreakdown error %v", trial, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			errRows++
+			continue
+		}
+		if got != want {
+			t.Fatalf("trial %d: Account %+v, EnergyBreakdown %+v", trial, got, want)
+		}
+	}
+	if errRows == 0 {
+		t.Error("no trial exercised an error row")
+	}
+	res := &dimemas.Result{Time: 1, Compute: []float64{0.5, 0.5}}
+	if _, err := m.Account(res, []dvfs.Gear{dvfs.GearAt(2.3)}, nil); err == nil {
+		t.Error("Account accepted 1 gear for 2 ranks")
+	}
+	if _, err := m.Account(res, []dvfs.Gear{dvfs.GearAt(2.3), dvfs.GearAt(2.3)}, []float64{1}); err == nil {
+		t.Error("Account accepted 1 power scale for 2 ranks")
 	}
 }
 

@@ -19,10 +19,10 @@
 //     unchanged execution time.
 //
 // Every candidate is scored exactly: the execution time of a gear vector is
-// the retimed replay of the trace's timing skeleton
-// (dimemas.ReplayCache.SkeletonFor + Skeleton.RetimeInto), bit-identical to
-// a fresh simulation at a fraction of the cost, which is what makes a cap
-// sweep run at retime speed rather than replay speed.
+// the delta-retimed replay of the trace's timing skeleton (dimemas.Scorer
+// over ReplayCache.SkeletonForMachine), bit-identical to a fresh simulation
+// at a fraction of the cost, which is what makes a cap sweep run at retime
+// speed rather than replay speed; its energy is power.Model.Account.
 package powercap
 
 import (
@@ -133,11 +133,11 @@ type Config struct {
 	// rows of a cap sweep, which then pays for the skeleton exactly once.
 	// Nil builds an uncached skeleton for this run.
 	Cache *dimemas.ReplayCache
-	// FreshReplays forces every candidate to be scored by a fresh Simulate
-	// call instead of a skeleton retiming (the Cache is ignored). Results
-	// are bit-identical either way; the flag exists to measure the
-	// skeleton's speedup (BenchmarkPowercapSweep) and as a cross-check in
-	// tests.
+	// FreshReplays forces every candidate to be scored by a fresh
+	// SimulateMachine call instead of a skeleton retiming (no skeleton is
+	// built; the Cache still memoizes the baseline). Results are
+	// bit-identical either way; the flag exists to measure the skeleton's
+	// speedup (BenchmarkPowercapSweep) and as a cross-check in tests.
 	FreshReplays bool
 	// Ctx optionally bounds the run; it is polled between candidate
 	// evaluations and threaded into the replays.
@@ -227,9 +227,6 @@ func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Kind < CapPeak || c.Kind > maxCapKind {
 		return dimemas.Env{}, fmt.Errorf("powercap: unknown cap kind %d", int(c.Kind))
 	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
 	if c.MaxMoves < 0 {
 		return dimemas.Env{}, fmt.Errorf("powercap: negative max moves %d", c.MaxMoves)
 	}
@@ -237,25 +234,41 @@ func (c *Config) normalize() (dimemas.Env, error) {
 }
 
 // scheduler carries one run's state: the frequency-independent inputs, the
-// per-gear constants, and the reusable evaluation buffers.
+// per-gear constants, the candidate scorer and the reusable evaluation
+// buffers.
 type scheduler struct {
 	cfg      *Config
-	env      dimemas.Env
 	pm       *power.Model
 	gears    []dvfs.Gear // ascending
 	pComp    []float64   // per gear: compute-phase power
 	sd       []float64   // per gear: β slowdown factor vs FMax
 	pscale   []float64   // per rank: power multiplier (nil: homogeneous)
-	maxGi    []int       // per rank: highest assignable gear index (nil: whole set)
+	maxGi    []int       // per rank: highest assignable gear index
 	baseComp []float64   // per rank: computation time at FMax (read-only)
-	skel     *dimemas.Skeleton
-	res      dimemas.Result     // reusable replay output (FreshReplays path)
-	delta    dimemas.DeltaState // incremental retiming state (default path)
-	cur      *dimemas.Result    // result of the last evaluate call
-	freqs    []float64
-	usage    []power.Usage
+	scorer   *dimemas.Scorer
+	cur      *dimemas.Result // result of the last evaluate call
+	freqs    []float64       // candidate per-rank frequencies
+	cand     []dvfs.Gear     // candidate per-rank gears
 	maxMoves int
 	evals    int
+}
+
+// GearCeilings returns each of n ranks' highest assignable index into the
+// ascending gears: the last gear whose frequency stays at or below the
+// rank's ceiling fmaxes[r] (at least the bottom gear, matching
+// dvfs.Set.QuantizeDown), or the top gear when fmaxes is nil or the entry
+// is zero.
+func GearCeilings(gears []dvfs.Gear, fmaxes []float64, n int) []int {
+	top := make([]int, n)
+	for r := range top {
+		top[r] = len(gears) - 1
+		if r < len(fmaxes) && fmaxes[r] > 0 {
+			for top[r] > 0 && gears[top[r]].Freq > fmaxes[r]+1e-12 {
+				top[r]--
+			}
+		}
+	}
+	return top
 }
 
 // Run schedules the trace under the configured power cap with both policies
@@ -281,44 +294,36 @@ func run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	opts := env.Options(cfg.Ctx)
-	tlOpts := opts
-	tlOpts.RecordTimeline = true
-	var (
-		base *dimemas.Result
-		skel *dimemas.Skeleton
-	)
-	if cfg.FreshReplays {
-		base, err = dimemas.SimulateMachine(cfg.Trace, env.Machine, tlOpts)
-		if err != nil {
-			return nil, fmt.Errorf("powercap: baseline replay: %w", err)
-		}
-	} else {
-		skel, err = cfg.Cache.SkeletonForMachine(cfg.Trace, env.Machine, opts)
-		if err != nil {
+	var skel *dimemas.Skeleton
+	if !cfg.FreshReplays {
+		if skel, err = cfg.Cache.SkeletonForMachine(cfg.Trace, env.Machine, opts); err != nil {
 			return nil, fmt.Errorf("powercap: timing skeleton: %w", err)
 		}
-		// The timeline baseline doubles as the uncapped reference and the
-		// slack-ordering source; through a cache it is shared across every
-		// row of a cap sweep.
-		base, err = cfg.Cache.OriginalMachine(cfg.Trace, env.Machine, tlOpts)
-		if err != nil {
-			return nil, fmt.Errorf("powercap: baseline replay: %w", err)
-		}
+	}
+	// The timeline baseline doubles as the uncapped reference and the
+	// slack-ordering source; through a cache it is shared across every row
+	// of a cap sweep.
+	tlOpts := opts
+	tlOpts.RecordTimeline = true
+	base, err := cfg.Cache.OriginalMachine(cfg.Trace, env.Machine, tlOpts)
+	if err != nil {
+		return nil, fmt.Errorf("powercap: baseline replay: %w", err)
 	}
 
 	n := len(base.Compute)
 	gears := cfg.Set.Gears()
 	s := &scheduler{
 		cfg:      &cfg,
-		env:      env,
 		pm:       pm,
 		gears:    gears,
 		pComp:    make([]float64, len(gears)),
 		sd:       make([]float64, len(gears)),
+		pscale:   env.Machine.PowerScales(),
+		maxGi:    GearCeilings(gears, env.Machine.FMaxes(), n),
 		baseComp: base.Compute,
-		skel:     skel,
+		scorer:   dimemas.NewScorer(skel, cfg.Trace, env.Machine, opts),
 		freqs:    make([]float64, n),
-		usage:    make([]power.Usage, n),
+		cand:     make([]dvfs.Gear, n),
 		maxMoves: cfg.MaxMoves,
 	}
 	if s.maxMoves == 0 {
@@ -331,41 +336,17 @@ func run(cfg Config) (*Result, error) {
 		s.pComp[gi] = pm.Power(power.Compute, g)
 		s.sd[gi] = timemodel.Slowdown(env.Beta, env.FMax, g.Freq)
 	}
-	if cap := env.Machine.Cap; cap != nil {
-		if cap.PowerScale != nil {
-			s.pscale = make([]float64, n)
-			for r := range s.pscale {
-				s.pscale[r] = env.Machine.RankPowerScale(r)
-			}
-		}
-		if cap.FMax != nil {
-			// Per-rank gear ceilings: the highest set index whose frequency
-			// stays at or below the rank's silicon limit (at least the
-			// bottom gear, matching dvfs.Set.QuantizeDown).
-			s.maxGi = make([]int, n)
-			for r := range s.maxGi {
-				s.maxGi[r] = len(gears) - 1
-				if f := env.Machine.RankFMax(r, 0); f > 0 {
-					gi := len(gears) - 1
-					for gi > 0 && gears[gi].Freq > f+1e-12 {
-						gi--
-					}
-					s.maxGi[r] = gi
-				}
-			}
-		}
-	}
 
 	// Uncapped reference: every rank at the nominal FMax gear.
-	nominal := dvfs.GearAt(env.FMax)
 	nomGears := make([]dvfs.Gear, n)
 	for r := range nomGears {
-		nomGears[r] = nominal
+		nomGears[r] = dvfs.GearAt(env.FMax)
 	}
-	baseEnergy, err := s.energyOf(nomGears, base)
+	b, err := pm.Account(base, nomGears, s.pscale)
 	if err != nil {
 		return nil, err
 	}
+	baseEnergy := b.Total()
 	baseProfile, err := power.BuildProfileScaled(pm, base.Timeline, nomGears, s.pscale, base.Time)
 	if err != nil {
 		return nil, fmt.Errorf("powercap: baseline profile: %w", err)
@@ -411,9 +392,8 @@ func run(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// evaluate scores one gear-index vector exactly: the retimed (or, under
-// FreshReplays, freshly simulated) replay's execution time plus the energy
-// of the run at those gears.
+// evaluate scores one gear-index vector exactly: the replayed execution
+// time plus the energy of the run at those gears.
 func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
 	if ctx := s.cfg.Ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -422,71 +402,21 @@ func (s *scheduler) evaluate(idx []int) (time, energy float64, err error) {
 	}
 	s.evals++
 	for r, gi := range idx {
+		s.cand[r] = s.gears[gi]
 		s.freqs[r] = s.gears[gi].Freq
 	}
-	res := &s.res
-	if s.cfg.FreshReplays {
-		opts := s.env.Options(s.cfg.Ctx)
-		opts.Freqs = s.freqs
-		fresh, err := dimemas.SimulateMachine(s.cfg.Trace, s.env.Machine, opts)
-		if err != nil {
-			return 0, 0, err
-		}
-		s.res = *fresh
-	} else {
-		// The greedy phases move one gear between consecutive evaluations,
-		// so delta retiming re-times just the affected cone — bit-identical
-		// to the full pass (and to the FreshReplays Simulate).
-		r, err := s.skel.RetimeDelta(&s.delta, s.freqs, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		res = r
-	}
-	s.cur = res
-	for r, gi := range idx {
-		s.usage[r] = power.Usage{
-			Gear:        s.gears[gi],
-			ComputeTime: res.Compute[r],
-			CommTime:    res.Time - res.Compute[r],
-			Scale:       s.scaleAt(r),
-		}
-	}
-	e, err := s.pm.Energy(s.usage)
+	// The greedy phases move one gear between consecutive evaluations, so
+	// the scorer's delta retiming re-times just the affected cone.
+	res, err := s.scorer.Score(s.freqs, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	return res.Time, e, nil
-}
-
-// energyOf accounts the energy of an already replayed run at explicit gears.
-func (s *scheduler) energyOf(gears []dvfs.Gear, res *dimemas.Result) (float64, error) {
-	for r := range gears {
-		s.usage[r] = power.Usage{
-			Gear:        gears[r],
-			ComputeTime: res.Compute[r],
-			CommTime:    res.Time - res.Compute[r],
-			Scale:       s.scaleAt(r),
-		}
+	s.cur = res
+	b, err := s.pm.Account(res, s.cand, s.pscale)
+	if err != nil {
+		return 0, 0, err
 	}
-	return s.pm.Energy(s.usage)
-}
-
-// scaleAt returns rank r's power multiplier (1 on homogeneous machines).
-func (s *scheduler) scaleAt(r int) float64 {
-	if s.pscale == nil {
-		return 1
-	}
-	return s.pscale[r]
-}
-
-// topFor returns rank r's highest assignable gear index — the end of the set
-// unless the machine's capability layer caps the rank lower.
-func (s *scheduler) topFor(r int) int {
-	if s.maxGi == nil {
-		return len(s.gears) - 1
-	}
-	return s.maxGi[r]
+	return res.Time, b.Total(), nil
 }
 
 // peakBound is the all-ranks-computing instantaneous cluster power of a
@@ -561,10 +491,7 @@ func (s *scheduler) infeasibleErr() error {
 				ErrCapInfeasible, s.cfg.Cap, e/t, n, s.gears[0])
 		}
 	}
-	var floor float64
-	for r := 0; r < n; r++ {
-		floor += s.pComp[0] * s.scaleAt(r)
-	}
+	floor := s.peakBound(make([]int, n))
 	return fmt.Errorf("%w: %s cap %.6g below the all-bottom-gear compute power %.6g (%d ranks at %s)",
 		ErrCapInfeasible, s.cfg.Kind, s.cfg.Cap, floor, n, s.gears[0])
 }
@@ -582,7 +509,7 @@ func (s *scheduler) uniform() (idx []int, time, energy float64, err error) {
 	for gi := len(s.gears) - 1; gi >= 0; gi-- {
 		for r := range trial {
 			trial[r] = gi
-			if top := s.topFor(r); gi > top {
+			if top := s.maxGi[r]; gi > top {
 				trial[r] = top
 			}
 		}
@@ -617,7 +544,7 @@ func (s *scheduler) redistribute() (idx []int, time, energy float64, err error) 
 	n := len(s.baseComp)
 	idx = make([]int, n)
 	for r := range idx {
-		idx[r] = s.topFor(r)
+		idx[r] = s.maxGi[r]
 	}
 
 	// Phase 1 — shed until feasible, slack-richest first.
@@ -728,7 +655,7 @@ func (s *scheduler) criticalRank(idx []int) int {
 	best := -1
 	bestComp := math.Inf(-1)
 	for r, gi := range idx {
-		if gi >= s.topFor(r) {
+		if gi >= s.maxGi[r] {
 			continue
 		}
 		if c := s.cur.Compute[r]; c > bestComp {
@@ -748,24 +675,15 @@ func (s *scheduler) finish(policy Policy, idx []int, ref RefStats) (*Schedule, e
 		gears[r] = s.gears[gi]
 		freqs[r] = s.gears[gi].Freq
 	}
-	var (
-		res *dimemas.Result
-		err error
-	)
-	if s.cfg.FreshReplays {
-		opts := s.env.Options(s.cfg.Ctx)
-		opts.Freqs, opts.RecordTimeline = freqs, true
-		res, err = dimemas.SimulateMachine(s.cfg.Trace, s.env.Machine, opts)
-	} else {
-		res, err = s.skel.Retime(freqs, true)
-	}
+	res, err := s.scorer.Timeline(freqs, nil)
 	if err != nil {
 		return nil, fmt.Errorf("powercap: %s schedule replay: %w", policy, err)
 	}
-	energy, err := s.energyOf(gears, res)
+	b, err := s.pm.Account(res, gears, s.pscale)
 	if err != nil {
 		return nil, err
 	}
+	energy := b.Total()
 	profile, err := power.BuildProfileScaled(s.pm, res.Timeline, gears, s.pscale, res.Time)
 	if err != nil {
 		return nil, fmt.Errorf("powercap: %s schedule profile: %w", policy, err)

@@ -321,9 +321,6 @@ func (c *Config) normalize() (dimemas.Env, error) {
 	if c.Set == nil {
 		return dimemas.Env{}, core.ErrNilSet
 	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.DefaultConfig()
-	}
 	if c.Iterations == 0 {
 		c.Iterations = 20
 	}
@@ -396,8 +393,9 @@ type loop struct {
 	cfg      *Config
 	pm       *power.Model
 	env      dimemas.Env
-	base     *trace.Trace // the base iteration (iteration 0 of cfg.Trace)
-	skel     *dimemas.Skeleton
+	base     *trace.Trace    // the base iteration (iteration 0 of cfg.Trace)
+	exec     *dimemas.Scorer // scores the executed iteration
+	ref      *dimemas.Scorer // scores the all-FMax reference
 	gears    []dvfs.Gear
 	freqs    []float64
 	sd       []float64 // per rank: slowdown of the current gear
@@ -408,18 +406,6 @@ type loop struct {
 	fcomp    []float64 // per rank: predicted executed compute (fcast × sd)
 	capScale []float64 // per rank: capability stretch baked into replays (nil: nominal)
 	pscale   []float64 // per rank: power multipliers (nil: homogeneous)
-	usage    []power.Usage
-	dExec    dimemas.DeltaState // incremental retiming, executed iteration (non-ExactPeaks)
-	dRef     dimemas.DeltaState // incremental retiming, FMax reference
-}
-
-// pscaleAt returns rank r's power multiplier for Usage rows (0 — the
-// nominal zero value — on homogeneous machines).
-func (l *loop) pscaleAt(r int) float64 {
-	if l.pscale == nil {
-		return 0
-	}
-	return l.pscale[r]
 }
 
 // Run simulates the closed loop and reports the per-iteration series plus
@@ -463,13 +449,7 @@ func run(cfg Config) (*Result, error) {
 		chat:     make([]float64, n),
 		c0:       base.ComputeTimes(),
 		capScale: env.Machine.ScaleVector(),
-		usage:    make([]power.Usage, n),
-	}
-	if env.Machine.Cap != nil && env.Machine.Cap.PowerScale != nil {
-		l.pscale = make([]float64, n)
-		for r := range l.pscale {
-			l.pscale[r] = env.Machine.RankPowerScale(r)
-		}
+		pscale:   env.Machine.PowerScales(),
 	}
 	if cfg.Policy.predictive() {
 		l.fc, err = predict.New(n, cfg.Predict)
@@ -479,12 +459,15 @@ func run(cfg Config) (*Result, error) {
 		l.fcast = make([]float64, n)
 		l.fcomp = make([]float64, n)
 	}
+	var skel *dimemas.Skeleton
 	if !cfg.FreshReplays {
-		l.skel, err = cfg.Cache.SkeletonForSliceMachine(cfg.Trace, 0, base, env.Machine, opts)
+		skel, err = cfg.Cache.SkeletonForSliceMachine(cfg.Trace, 0, base, env.Machine, opts)
 		if err != nil {
 			return nil, fmt.Errorf("rebalance: base-iteration skeleton: %w", err)
 		}
 	}
+	l.exec = dimemas.NewScorer(skel, base, env.Machine, opts)
+	l.ref = dimemas.NewScorer(skel, base, env.Machine, opts)
 
 	factors, err := cfg.Drift.Factors(n, cfg.Iterations)
 	if err != nil {
@@ -537,10 +520,11 @@ func run(cfg Config) (*Result, error) {
 		}
 
 		// Account the executed iteration and the FMax reference.
-		energy, err := l.energyOf(exec, l.gears)
+		b, err := pm.Account(exec, l.gears, l.pscale)
 		if err != nil {
 			return nil, err
 		}
+		energy := b.Total()
 		itTime := exec.Time
 		if rebalanced && cfg.ReassignOverhead > 0 {
 			// Ranks sit in the runtime (communication-phase power) while
@@ -562,10 +546,11 @@ func run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rebalance: iteration %d: %w", it, err)
 		}
-		refEnergy, err := l.energyOf(ref, nomGears)
+		b, err = pm.Account(ref, nomGears, l.pscale)
 		if err != nil {
 			return nil, err
 		}
+		refEnergy := b.Total()
 
 		res.Iterations = append(res.Iterations, IterationStats{
 			Time:       itTime,
@@ -712,42 +697,20 @@ func (l *loop) syncGearState() {
 }
 
 // replay executes one iteration at the current gears and the all-FMax
-// reference under the same drift factors — skeleton retimes on the cached
-// path, fresh simulations of a rebuilt drifted trace under FreshReplays.
+// reference under the same drift factors. Drift leaves most ranks' factors —
+// and rebalancing most gears — unchanged between consecutive iterations, so
+// each scorer's delta retiming skips the unaffected cone; ExactPeaks needs
+// the executed iteration's timeline instead.
 func (l *loop) replay(scale []float64) (exec, ref *dimemas.Result, err error) {
-	cfg := l.cfg
-	if cfg.FreshReplays {
-		drifted := l.base.ScaleCompute(func(r int, _ trace.Record) float64 { return scale[r] })
-		opts := l.env.Options(cfg.Ctx)
-		opts.Freqs, opts.RecordTimeline = l.freqs, cfg.ExactPeaks
-		exec, err = dimemas.SimulateMachine(drifted, l.env.Machine, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts.Freqs = nil
-		opts.RecordTimeline = false
-		ref, err = dimemas.SimulateMachine(drifted, l.env.Machine, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return exec, ref, nil
-	}
-	if cfg.ExactPeaks {
-		exec, err = l.skel.RetimeScaled(l.freqs, scale, true)
-		if err != nil {
-			return nil, nil, err
-		}
+	if l.cfg.ExactPeaks {
+		exec, err = l.exec.Timeline(l.freqs, scale)
 	} else {
-		// Drift leaves most ranks' factors — and rebalancing most gears —
-		// unchanged between consecutive iterations, so delta retiming skips
-		// the unaffected cone; bit-identical to the RetimeScaled pass the
-		// ExactPeaks branch (which needs timelines) still performs.
-		exec, err = l.skel.RetimeDelta(&l.dExec, l.freqs, scale)
-		if err != nil {
-			return nil, nil, err
-		}
+		exec, err = l.exec.Score(l.freqs, scale)
 	}
-	ref, err = l.skel.RetimeDelta(&l.dRef, nil, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	ref, err = l.ref.Score(nil, scale)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -778,11 +741,7 @@ func (l *loop) solve() ([]dvfs.Gear, error) {
 	if cfg.Policy.capped() {
 		return l.solveCapped(loads)
 	}
-	var fmaxes []float64
-	if l.env.Machine.Cap != nil {
-		fmaxes = l.env.Machine.Cap.FMax
-	}
-	balancer := &core.Balancer{Set: cfg.Set, Beta: l.env.Beta, FMax: l.env.FMax, Margin: cfg.Margin, FMaxes: fmaxes}
+	balancer := &core.Balancer{Set: cfg.Set, Beta: l.env.Beta, FMax: l.env.FMax, Margin: cfg.Margin, FMaxes: l.env.Machine.FMaxes()}
 	a, err := balancer.Assign(cfg.Algorithm, loads)
 	if err != nil {
 		return nil, err
@@ -841,17 +800,7 @@ func (l *loop) cappedColdStart() error {
 	cfg := l.cfg
 	gears := cfg.Set.Gears()
 	n := len(l.gears)
-	ceil := make([]int, n)
-	for r := range ceil {
-		ceil[r] = len(gears) - 1
-		if f := l.env.Machine.RankFMax(r, 0); f > 0 {
-			gi := len(gears) - 1
-			for gi > 0 && gears[gi].Freq > f+1e-12 {
-				gi--
-			}
-			ceil[r] = gi
-		}
-	}
+	ceil := powercap.GearCeilings(gears, l.env.Machine.FMaxes(), n)
 	scale := func(r int) float64 {
 		if l.pscale == nil {
 			return 1
@@ -884,24 +833,6 @@ func (l *loop) cappedColdStart() error {
 	}
 	return fmt.Errorf("%w: peak cap %.6g below the all-bottom-gear compute power %.6g (%d ranks at %s)",
 		powercap.ErrCapInfeasible, cfg.Cap, floor, n, gears[0])
-}
-
-// energyOf accounts the CPU energy of one executed iteration at explicit
-// gears, with the same Usage construction the offline pipeline uses.
-func (l *loop) energyOf(res *dimemas.Result, gears []dvfs.Gear) (float64, error) {
-	for r := range gears {
-		l.usage[r] = power.Usage{
-			Gear:        gears[r],
-			ComputeTime: res.Compute[r],
-			CommTime:    res.Comm(r),
-			Scale:       l.pscaleAt(r),
-		}
-	}
-	b, err := l.pm.EnergyBreakdown(l.usage)
-	if err != nil {
-		return 0, err
-	}
-	return b.Total(), nil
 }
 
 // peakOf reports the iteration's cluster power peak: exact from the
