@@ -28,7 +28,6 @@ type Scorer struct {
 // RecordTimeline are set per call). With a skeleton, t, m and opts must be
 // the ones it was recorded from.
 func NewScorer(skel *Skeleton, t *trace.Trace, m Machine, opts Options) *Scorer {
-	opts.Freqs, opts.RecordTimeline = nil, false
 	return &Scorer{skel: skel, trace: t, m: m, opts: opts}
 }
 
