@@ -15,6 +15,7 @@ package repro
 import (
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -134,6 +135,43 @@ func BenchmarkSimulateWRF128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(tr, p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadWRF128 measures parsing the WRF-128 trace from its text
+// form, the first step of every request that carries an inline trace.
+func BenchmarkReadWRF128(b *testing.B) {
+	tr, _, _, _ := wrfReplayInputs(b)
+	var text strings.Builder
+	if err := WriteTrace(&text, tr); err != nil {
+		b.Fatal(err)
+	}
+	in := text.String()
+	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadTrace(strings.NewReader(in)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkValidateWRF128 measures validating the parsed WRF-128 trace,
+// the scan that also numbers its channels for the replay engine.
+func BenchmarkValidateWRF128(b *testing.B) {
+	tr, _, _, _ := wrfReplayInputs(b)
+	var text strings.Builder
+	if err := WriteTrace(&text, tr); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(text.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.Validate(); err != nil {
 			b.Fatal(err)
 		}
 	}

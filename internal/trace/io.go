@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/faults"
 	"repro/internal/stagerr"
@@ -80,19 +81,29 @@ func Write(w io.Writer, t *Trace) error {
 
 // Read parses a trace in the text format. Failures are parse-stage errors
 // (internal/stagerr) carrying the offending line number.
+//
+// The input is read once into memory and walked line by line. A line of
+// plain ASCII fields — the spelling Write produces — is split and decoded
+// in place without allocating; any other line (non-ASCII white space,
+// signed or overlong integers, a sixth field, or any malformed record)
+// takes the general TrimSpace/Fields/parseRecord path, so every accepted
+// spelling and every error message is the general path's.
 func Read(r io.Reader) (*Trace, error) {
 	if err := faults.Check(faults.TraceParse); err != nil {
 		return nil, stagerr.Wrap(stagerr.Parse, err)
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxLineBytes)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, scanErr(err, 0)
+	in, rerr := readAll(r)
+	if in == "" {
+		if rerr != nil {
+			return nil, scanErr(rerr, 0)
 		}
 		return nil, stagerr.New(stagerr.Parse, "trace: empty input")
 	}
-	header := sc.Text()
+	header, rest, _ := strings.Cut(in, "\n")
+	if len(header) >= MaxLineBytes {
+		return nil, scanErr(bufio.ErrTooLong, 0)
+	}
+	header = strings.TrimSuffix(header, "\r")
 	if !strings.HasPrefix(header, formatHeader) {
 		return nil, stagerr.Errorf(stagerr.Parse, "trace: bad header %q", header)
 	}
@@ -100,25 +111,202 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, stagerr.Wrap(stagerr.Parse, err)
 	}
-	t := New(app, nranks)
+	t := New(strings.Clone(app), nranks)
+	// Every rank's first record allocates room for its share of the lines
+	// plus some slack, so a balanced trace never regrows a slice.
+	perRank := strings.Count(rest, "\n") / nranks
+	perRank += min(perRank, 16)
 	line := 1
-	for sc.Scan() {
+	for rest != "" {
+		var text string
+		text, rest, _ = strings.Cut(rest, "\n")
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "%") {
+		if len(text) >= MaxLineBytes {
+			return nil, scanErr(bufio.ErrTooLong, line-1)
+		}
+		rec, rank, st := fastRecord(text, nranks)
+		if st == lineBlank {
 			continue
 		}
-		fields := strings.Fields(text)
-		rec, rank, err := parseRecord(fields, nranks)
-		if err != nil {
-			return nil, stagerr.Errorf(stagerr.Parse, "trace: line %d: %w", line, err)
+		if st == lineGeneral {
+			text = strings.TrimSpace(text)
+			if text == "" || strings.HasPrefix(text, "%") {
+				continue
+			}
+			rec, rank, err = parseRecord(strings.Fields(text), nranks)
+			if err != nil {
+				return nil, stagerr.Errorf(stagerr.Parse, "trace: line %d: %w", line, err)
+			}
+		}
+		if t.Ranks[rank] == nil && perRank > 0 {
+			t.Ranks[rank] = make([]Record, 0, perRank)
 		}
 		t.Ranks[rank] = append(t.Ranks[rank], rec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, scanErr(err, line)
+	if rerr != nil {
+		return nil, scanErr(rerr, line)
 	}
 	return t, nil
+}
+
+// readAll reads r to its end into one string, sized up front when r
+// reports how much it holds (as strings.Reader and bytes.Reader do).
+func readAll(r io.Reader) (string, error) {
+	var sb strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		sb.Grow(l.Len())
+	}
+	_, err := io.Copy(&sb, r)
+	return sb.String(), err
+}
+
+// lineState is fastRecord's verdict on one line.
+type lineState uint8
+
+const (
+	lineRecord  lineState = iota // the returned record is the line's
+	lineBlank                    // white space or a comment: no record
+	lineGeneral                  // left to the general path
+)
+
+// maxFields is the most fields a record other than an iteration marker
+// carries; fastRecord leaves longer lines to the general path.
+const maxFields = 5
+
+// fastRecord decodes one line of plain ASCII fields. It accepts only lines
+// the general path parses to the same record, and returns lineGeneral for
+// everything else, including every malformed line.
+func fastRecord(text string, nranks int) (Record, int, lineState) {
+	var f [maxFields]string
+	n := 0
+	for i := 0; i < len(text); {
+		switch byteClass[text[i]] {
+		case classSpace:
+			i++
+			continue
+		case classOther:
+			return Record{}, 0, lineGeneral
+		}
+		if n == 0 && text[i] == '%' {
+			return Record{}, 0, lineBlank
+		}
+		if n == maxFields {
+			return Record{}, 0, lineGeneral
+		}
+		j := i + 1
+		for j < len(text) && byteClass[text[j]] == classField {
+			j++
+		}
+		f[n] = text[i:j]
+		n++
+		i = j
+	}
+	if n == 0 {
+		return Record{}, 0, lineBlank
+	}
+	if n < 2 || len(f[0]) != 1 {
+		return Record{}, 0, lineGeneral
+	}
+	rank, ok := atoi(f[1], intDigits)
+	if !ok || rank < 0 || rank >= int64(nranks) {
+		return Record{}, 0, lineGeneral
+	}
+	switch f[0][0] {
+	case 'c':
+		if n != 3 && n != 4 {
+			break
+		}
+		d, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			break
+		}
+		beta := -1.0
+		if n == 4 {
+			if beta, err = strconv.ParseFloat(f[3], 64); err != nil {
+				break
+			}
+		}
+		return Record{Kind: KindCompute, Duration: d, Beta: beta}, int(rank), lineRecord
+	case 's', 'r':
+		if n != 5 {
+			break
+		}
+		peer, ok1 := atoi(f[2], intDigits)
+		bytes, ok2 := atoi(f[3], int64Digits)
+		tag, ok3 := atoi(f[4], intDigits)
+		if !ok1 || !ok2 || !ok3 {
+			break
+		}
+		k := KindSend
+		if f[0][0] == 'r' {
+			k = KindRecv
+		}
+		return Record{Kind: k, Peer: int(peer), Bytes: bytes, Tag: int(tag)}, int(rank), lineRecord
+	case 'g':
+		if n != 4 {
+			break
+		}
+		coll, err := ParseCollective(f[2])
+		bytes, ok := atoi(f[3], int64Digits)
+		if err != nil || !ok {
+			break
+		}
+		return Record{Kind: KindColl, Coll: coll, Bytes: bytes}, int(rank), lineRecord
+	case 'i':
+		return Record{Kind: KindIterMark}, int(rank), lineRecord
+	}
+	return Record{}, 0, lineGeneral
+}
+
+// Byte classes for fastRecord's field splitter: the ASCII white space
+// strings.Fields splits on, any other ASCII byte, and the bytes of
+// non-ASCII characters, which may be Unicode white space.
+const (
+	classField = iota
+	classSpace
+	classOther
+)
+
+var byteClass = func() (c [256]uint8) {
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = classOther
+	}
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = classSpace
+	}
+	return c
+}()
+
+// Decimal digit counts below which strconv.Atoi (int) and
+// strconv.ParseInt(s, 10, 64) cannot overflow.
+const (
+	intDigits   = 9 + 9*(strconv.IntSize/64)
+	int64Digits = 18
+)
+
+// atoi decodes an optional '-' followed by 1 to maxDigits decimal digits,
+// the spellings on which it agrees with strconv without range checks. It
+// reports false for anything else, including '+' signs and longer numbers.
+func atoi(s string, maxDigits int) (int64, bool) {
+	neg := s != "" && s[0] == '-'
+	if neg {
+		s = s[1:]
+	}
+	if s == "" || len(s) > maxDigits {
+		return 0, false
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + int64(d)
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 func escapeApp(app string) string {

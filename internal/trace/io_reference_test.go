@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/faults"
 	"repro/internal/stagerr"
@@ -366,6 +367,32 @@ func sameRanks(a, b [][]Record) bool {
 func TestReadMatchesReferenceOnSeeds(t *testing.T) {
 	for i, s := range readSeeds {
 		t.Run(strconv.Itoa(i), func(t *testing.T) { assertReadMatchesReference(t, s) })
+	}
+}
+
+// TestReadMatchesReferenceAcrossReaders covers readers that do not report
+// their length, deliver one byte at a time, or fail part way through.
+func TestReadMatchesReferenceAcrossReaders(t *testing.T) {
+	errBroken := errors.New("broken pipe")
+	for i, s := range readSeeds {
+		readers := map[string]func() io.Reader{
+			"one-byte":     func() io.Reader { return iotest.OneByteReader(strings.NewReader(s)) },
+			"data-err":     func() io.Reader { return iotest.DataErrReader(strings.NewReader(s)) },
+			"fails-after":  func() io.Reader { return io.MultiReader(strings.NewReader(s), iotest.ErrReader(errBroken)) },
+			"fails-midway": func() io.Reader { return io.MultiReader(strings.NewReader(s[:len(s)/2]), iotest.ErrReader(errBroken)) },
+		}
+		for name, mk := range readers {
+			t.Run(fmt.Sprintf("%d/%s", i, name), func(t *testing.T) {
+				got, gerr := Read(mk())
+				want, werr := readReference(mk())
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("Read error = %v, reference error = %v", gerr, werr)
+				}
+				if werr == nil && (got.App != want.App || !sameRanks(got.Ranks, want.Ranks)) {
+					t.Fatalf("Read = %+v, reference = %+v", got, want)
+				}
+			})
+		}
 	}
 }
 

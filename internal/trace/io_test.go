@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,5 +113,41 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadRanksStayAppendSafe guards Read's pre-sized rank slices: growing
+// one rank after parsing must leave every other rank untouched, and the
+// replay index must be rebuilt for the longer trace.
+func TestReadRanksStayAppendSafe(t *testing.T) {
+	var in strings.Builder
+	in.WriteString("#PWRTRACE v1 app=a ranks=3\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&in, "c %d 1\n", i%3)
+	}
+	tr, err := Read(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]Record, len(tr.Ranks))
+	for r, recs := range tr.Ranks {
+		before[r] = append([]Record(nil), recs...)
+	}
+	builds := 0
+	build := func(*Trace) any { builds++; return builds }
+	tr.ReplayIndex(build)
+	for r := range tr.Ranks {
+		for k := 0; k < 64; k++ {
+			tr.Add(r, Compute(float64(100+r)))
+		}
+		for o := range tr.Ranks {
+			if o != r && !reflect.DeepEqual(tr.Ranks[o][:len(before[o])], before[o]) {
+				t.Fatalf("appending to rank %d changed rank %d", r, o)
+			}
+		}
+		before[r] = append([]Record(nil), tr.Ranks[r]...)
+	}
+	if got := tr.ReplayIndex(build); got != 2 {
+		t.Fatalf("replay index not rebuilt after Add: build count %v", got)
 	}
 }

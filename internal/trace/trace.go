@@ -346,97 +346,186 @@ var (
 // arrive last). A valid trace is guaranteed to replay without
 // deadlock under blocking semantics as long as sends/recvs are causally
 // orderable; the simulator additionally detects runtime deadlock.
+//
+// The error names the first fault in a fixed order: malformed records
+// rank by rank in program order, then unmatched channels in the order
+// Channels numbers them, then ranks whose collectives differ from rank 0's.
 func (t *Trace) Validate() error {
+	_, err := t.Channels()
+	return err
+}
+
+// ChannelIndex numbers the point-to-point channels of a valid trace. A
+// channel is a (src, dst, tag) triple; ids are dense and assigned in order
+// of first appearance, scanning ranks in order and each rank's records in
+// program order, where a receive names the channel (peer, rank, tag).
+type ChannelIndex struct {
+	// Of holds, per rank and record, the record's channel id, or -1 for a
+	// record that is not a send or receive.
+	Of [][]int32
+	// Src holds each channel's sending rank.
+	Src []int32
+	// Sends holds each channel's message count; on a valid trace it is
+	// also the channel's receive count.
+	Sends []int32
+	// Colls is the number of collectives every rank calls.
+	Colls int
+}
+
+// chanKey identifies a channel by its rank pair, numbered src·n+dst, and
+// its tag: two words, which the map hashes as one 16-byte block.
+type chanKey struct {
+	pair, tag int
+}
+
+// Channels performs Validate's checks in one scan of the records and,
+// when the trace is valid, returns its channel numbering.
+func (t *Trace) Channels() (*ChannelIndex, error) {
 	if len(t.Ranks) == 0 {
-		return ErrNoRanks
+		return nil, ErrNoRanks
 	}
 	n := len(t.Ranks)
-	type p2pKey struct {
-		src, dst, tag int
-	}
-	sends := map[p2pKey][]int64{}
-	recvs := map[p2pKey][]int64{}
-	var collSeq [][]Record // per rank
+	ix := &ChannelIndex{Of: make([][]int32, n)}
+	of := make([]int32, t.NumRecords())
+	ids := make(map[chanKey]int32)
+	var keys []chanKey
+	var recvs []int32   // per channel: receive count
+	var colls0 []Record // rank 0's collectives, which every rank must repeat
+	var collErr error   // the first rank whose collectives differ from rank 0's
 	for r, recs := range t.Ranks {
-		var cs []Record
+		co := of[:len(recs):len(recs)]
+		of = of[len(recs):]
+		ix.Of[r] = co
+		ncoll, bad := 0, -1 // collectives so far; index of the first differing one
+		var badRec Record
 		for i, rec := range recs {
+			co[i] = -1
 			switch rec.Kind {
 			case KindCompute:
 				if rec.Duration < 0 || math.IsNaN(rec.Duration) || math.IsInf(rec.Duration, 1) {
-					return fmt.Errorf("%w: rank %d record %d (%v)", ErrNegativeBurst, r, i, rec.Duration)
+					return nil, fmt.Errorf("%w: rank %d record %d (%v)", ErrNegativeBurst, r, i, rec.Duration)
 				}
 				if math.IsNaN(rec.Beta) || math.IsInf(rec.Beta, 1) {
-					return fmt.Errorf("%w: rank %d record %d (%v)", ErrBadBetaOverride, r, i, rec.Beta)
+					return nil, fmt.Errorf("%w: rank %d record %d (%v)", ErrBadBetaOverride, r, i, rec.Beta)
 				}
 			case KindSend, KindRecv:
 				if rec.Peer < 0 || rec.Peer >= n {
-					return fmt.Errorf("%w: rank %d record %d peer %d", ErrBadPeer, r, i, rec.Peer)
+					return nil, fmt.Errorf("%w: rank %d record %d peer %d", ErrBadPeer, r, i, rec.Peer)
 				}
 				if rec.Peer == r {
-					return fmt.Errorf("%w: rank %d record %d", ErrSelfMessage, r, i)
+					return nil, fmt.Errorf("%w: rank %d record %d", ErrSelfMessage, r, i)
 				}
 				if rec.Bytes < 0 {
-					return fmt.Errorf("%w: rank %d record %d", ErrNegativeSize, r, i)
+					return nil, fmt.Errorf("%w: rank %d record %d", ErrNegativeSize, r, i)
 				}
+				k := chanKey{r*n + rec.Peer, rec.Tag}
+				if rec.Kind == KindRecv {
+					k.pair = rec.Peer*n + r
+				}
+				id, ok := ids[k]
+				if !ok {
+					id = int32(len(keys))
+					ids[k] = id
+					keys = append(keys, k)
+					ix.Src = append(ix.Src, int32(k.pair/n))
+					ix.Sends = append(ix.Sends, 0)
+					recvs = append(recvs, 0)
+				}
+				co[i] = id
 				if rec.Kind == KindSend {
-					k := p2pKey{r, rec.Peer, rec.Tag}
-					sends[k] = append(sends[k], rec.Bytes)
+					ix.Sends[id]++
 				} else {
-					k := p2pKey{rec.Peer, r, rec.Tag}
-					recvs[k] = append(recvs[k], rec.Bytes)
+					recvs[id]++
 				}
 			case KindColl:
 				if rec.Bytes < 0 {
-					return fmt.Errorf("%w: rank %d record %d", ErrNegativeSize, r, i)
+					return nil, fmt.Errorf("%w: rank %d record %d", ErrNegativeSize, r, i)
 				}
 				if rec.Coll >= collMax {
-					return fmt.Errorf("trace: rank %d record %d: unknown collective %d", r, i, rec.Coll)
+					return nil, fmt.Errorf("trace: rank %d record %d: unknown collective %d", r, i, rec.Coll)
 				}
-				cs = append(cs, Record{Kind: KindColl, Coll: rec.Coll, Bytes: rec.Bytes})
+				c := Record{Kind: KindColl, Coll: rec.Coll, Bytes: rec.Bytes}
+				if r == 0 {
+					colls0 = append(colls0, c)
+				} else if bad < 0 && ncoll < len(colls0) && c != colls0[ncoll] {
+					bad, badRec = ncoll, c
+				}
+				ncoll++
 			case KindIterMark:
 				// no payload
 			default:
-				return fmt.Errorf("trace: rank %d record %d: unknown kind %d", r, i, rec.Kind)
+				return nil, fmt.Errorf("trace: rank %d record %d: unknown kind %d", r, i, rec.Kind)
 			}
 		}
-		collSeq = append(collSeq, cs)
-	}
-	// P2P matching: per (src,dst,tag) channel the send and recv sequences
-	// must agree element-wise (MPI guarantees in-order matching per channel).
-	for k, ss := range sends {
-		rs := recvs[k]
-		if len(ss) != len(rs) {
-			return fmt.Errorf("%w: channel %d→%d tag %d has %d sends but %d recvs",
-				ErrUnmatchedP2P, k.src, k.dst, k.tag, len(ss), len(rs))
+		if collErr != nil || r == 0 {
+			continue
 		}
-		for i := range ss {
-			if ss[i] != rs[i] {
-				return fmt.Errorf("%w: channel %d→%d tag %d message %d: %d bytes sent, %d expected",
-					ErrUnmatchedP2P, k.src, k.dst, k.tag, i, ss[i], rs[i])
+		switch {
+		case ncoll != len(colls0):
+			collErr = fmt.Errorf("%w: rank %d has %d collectives, rank 0 has %d",
+				ErrCollMismatch, r, ncoll, len(colls0))
+		case bad >= 0 && badRec.Coll != colls0[bad].Coll:
+			collErr = fmt.Errorf("%w: collective %d: rank %d calls %v, rank 0 calls %v",
+				ErrCollMismatch, bad, r, badRec.Coll, colls0[bad].Coll)
+		case bad >= 0:
+			collErr = fmt.Errorf("%w: collective %d: rank %d carries %d bytes, rank 0 carries %d",
+				ErrCollMismatch, bad, r, badRec.Bytes, colls0[bad].Bytes)
+		}
+	}
+	if err := ix.matchP2P(t, keys, recvs); err != nil {
+		return nil, err
+	}
+	if collErr != nil {
+		return nil, collErr
+	}
+	ix.Colls = len(colls0)
+	return ix, nil
+}
+
+// matchP2P checks, channel by channel in id order, that the send and
+// receive byte sequences agree element-wise (MPI guarantees in-order
+// matching per channel). Both sequences are laid out flat, each channel
+// at the offset of its sends.
+func (ix *ChannelIndex) matchP2P(t *Trace, keys []chanKey, recvs []int32) error {
+	base := make([]int32, len(keys))
+	var total int32
+	for c, ns := range ix.Sends {
+		base[c] = total
+		total += ns
+	}
+	sent := make([]int64, total)
+	got := make([]int64, total)
+	nsent := make([]int32, len(keys))
+	ngot := make([]int32, len(keys))
+	for r, recs := range t.Ranks {
+		for i, c := range ix.Of[r] {
+			switch {
+			case c < 0:
+			case recs[i].Kind == KindSend:
+				sent[base[c]+nsent[c]] = recs[i].Bytes
+				nsent[c]++
+			case recvs[c] == ix.Sends[c]:
+				got[base[c]+ngot[c]] = recs[i].Bytes
+				ngot[c]++
 			}
 		}
 	}
-	for k, rs := range recvs {
-		if _, ok := sends[k]; !ok && len(rs) > 0 {
+	n := len(t.Ranks)
+	for c, k := range keys {
+		src, dst := k.pair/n, k.pair%n
+		ns, nr := ix.Sends[c], recvs[c]
+		switch {
+		case ns == 0:
 			return fmt.Errorf("%w: channel %d→%d tag %d has %d recvs but no sends",
-				ErrUnmatchedP2P, k.src, k.dst, k.tag, len(rs))
+				ErrUnmatchedP2P, src, dst, k.tag, nr)
+		case ns != nr:
+			return fmt.Errorf("%w: channel %d→%d tag %d has %d sends but %d recvs",
+				ErrUnmatchedP2P, src, dst, k.tag, ns, nr)
 		}
-	}
-	// Collective agreement: all ranks must call the same collectives in the
-	// same order with the same parameters.
-	for r := 1; r < n; r++ {
-		if len(collSeq[r]) != len(collSeq[0]) {
-			return fmt.Errorf("%w: rank %d has %d collectives, rank 0 has %d",
-				ErrCollMismatch, r, len(collSeq[r]), len(collSeq[0]))
-		}
-		for i := range collSeq[r] {
-			if collSeq[r][i].Coll != collSeq[0][i].Coll {
-				return fmt.Errorf("%w: collective %d: rank %d calls %v, rank 0 calls %v",
-					ErrCollMismatch, i, r, collSeq[r][i].Coll, collSeq[0][i].Coll)
-			}
-			if collSeq[r][i].Bytes != collSeq[0][i].Bytes {
-				return fmt.Errorf("%w: collective %d: rank %d carries %d bytes, rank 0 carries %d",
-					ErrCollMismatch, i, r, collSeq[r][i].Bytes, collSeq[0][i].Bytes)
+		for m := range ns {
+			if s, g := sent[base[c]+m], got[base[c]+m]; s != g {
+				return fmt.Errorf("%w: channel %d→%d tag %d message %d: %d bytes sent, %d expected",
+					ErrUnmatchedP2P, src, dst, k.tag, m, s, g)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -260,5 +261,63 @@ func TestComputeTimesIgnoresNonCompute(t *testing.T) {
 	}
 	if math.IsNaN(ct[0]) {
 		t.Fatal("NaN compute time")
+	}
+}
+
+// TestValidateErrorIsDeterministic pins the reported channel when several
+// are unmatched: the first in channel-numbering order, on every call.
+func TestValidateErrorIsDeterministic(t *testing.T) {
+	tr := New("two-bad", 3)
+	tr.Add(0, Send(1, 8, 1), Send(2, 16, 2), Send(1, 4, 5))
+	tr.Add(1, Recv(0, 9, 1), Recv(0, 4, 5))
+	tr.Add(2, Recv(0, 16, 2), Recv(0, 16, 2))
+	const want = "trace: unmatched point-to-point records: channel 0→1 tag 1 message 0: 8 bytes sent, 9 expected"
+	for i := 0; i < 100; i++ {
+		err := tr.Validate()
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestChannelsOrderMatchesRecordOrder checks the numbering the replay
+// engine relies on: ids are dense and first appear in rank-major record
+// order, a receive shares its send's id, and Src, Sends and Colls describe
+// the channels.
+func TestChannelsOrderMatchesRecordOrder(t *testing.T) {
+	tr := New("order", 3)
+	tr.Add(0, Recv(2, 8, 0), Send(1, 4, 3), Coll(CollBarrier, 0), Send(1, 4, 3), Send(1, 2, 4))
+	tr.Add(1, Recv(0, 4, 3), Compute(1), Recv(0, 4, 3), Recv(0, 2, 4), Coll(CollBarrier, 0), Send(2, 1, 0))
+	tr.Add(2, Send(0, 8, 0), Coll(CollBarrier, 0), Recv(1, 1, 0), IterMark())
+	ch, err := tr.Channels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOf := [][]int32{{0, 1, -1, 1, 2}, {1, -1, 1, 2, -1, 3}, {0, -1, 3, -1}}
+	if !reflect.DeepEqual(ch.Of, wantOf) {
+		t.Errorf("Of = %v, want %v", ch.Of, wantOf)
+	}
+	if want := []int32{2, 0, 0, 1}; !reflect.DeepEqual(ch.Src, want) {
+		t.Errorf("Src = %v, want %v", ch.Src, want)
+	}
+	if want := []int32{1, 2, 1, 1}; !reflect.DeepEqual(ch.Sends, want) {
+		t.Errorf("Sends = %v, want %v", ch.Sends, want)
+	}
+	if ch.Colls != 1 {
+		t.Errorf("Colls = %d, want 1", ch.Colls)
+	}
+	next := int32(0)
+	for r, recs := range tr.Ranks {
+		for i := range recs {
+			if id := ch.Of[r][i]; id == next {
+				next++
+			} else if id > next {
+				t.Fatalf("rank %d record %d: channel %d appears before channel %d", r, i, id, next)
+			}
+		}
+	}
+	tr.Add(1, Send(2, 1, 9))
+	if _, err := tr.Channels(); !errors.Is(err, ErrUnmatchedP2P) {
+		t.Fatalf("unmatched send accepted: %v", err)
 	}
 }
