@@ -28,15 +28,15 @@ import (
 
 const formatHeader = "#PWRTRACE v1"
 
-// MaxLineBytes bounds one line of trace text. bufio.Scanner's default
-// 64 KiB token limit is far too small for wide traces (a single comment or
-// a pathological record can exceed it); we raise it explicitly and, when a
-// line still exceeds it, report which line instead of surfacing the
-// cryptic "bufio.Scanner: token too long".
+// MaxLineBytes bounds one line of trace text: a line of MaxLineBytes or
+// more bytes before its newline fails with an error naming that line (the
+// limit a bufio.Scanner with a MaxLineBytes buffer enforces, which Read
+// keeps).
 const MaxLineBytes = 16 << 20
 
-// scanErr converts a scanner failure into a parse-stage error. line is the
-// last fully scanned line; the failure is on the next one.
+// scanErr converts a read failure, or bufio.ErrTooLong for an over-long
+// line, into a parse-stage error. line is the last complete line; the
+// failure is on the next one.
 func scanErr(err error, line int) error {
 	if errors.Is(err, bufio.ErrTooLong) {
 		return stagerr.Errorf(stagerr.Parse, "trace: line %d exceeds max line length (%d bytes)", line+1, MaxLineBytes)

@@ -364,12 +364,6 @@ func sameRanks(a, b [][]Record) bool {
 	return true
 }
 
-func TestReadMatchesReferenceOnSeeds(t *testing.T) {
-	for i, s := range readSeeds {
-		t.Run(strconv.Itoa(i), func(t *testing.T) { assertReadMatchesReference(t, s) })
-	}
-}
-
 // TestReadMatchesReferenceAcrossReaders covers readers that do not report
 // their length, deliver one byte at a time, or fail part way through.
 func TestReadMatchesReferenceAcrossReaders(t *testing.T) {
