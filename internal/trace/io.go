@@ -31,7 +31,8 @@ const formatHeader = "#PWRTRACE v1"
 // MaxLineBytes bounds one line of trace text: a line of MaxLineBytes or
 // more bytes before its newline fails with an error naming that line (the
 // limit a bufio.Scanner with a MaxLineBytes buffer enforces, which Read
-// keeps).
+// keeps). It bounds line length, not memory: Read holds its whole input in
+// memory, so callers that take untrusted input bound its size themselves.
 const MaxLineBytes = 16 << 20
 
 // scanErr converts a read failure, or bufio.ErrTooLong for an over-long
@@ -82,11 +83,11 @@ func Write(w io.Writer, t *Trace) error {
 // Read parses a trace in the text format. Failures are parse-stage errors
 // (internal/stagerr) carrying the offending line number.
 //
-// The input is read once into memory and walked line by line. A line of
-// plain ASCII fields — the spelling Write produces — is split and decoded
-// in place without allocating; any other line (non-ASCII white space,
-// signed or overlong integers, a sixth field, or any malformed record)
-// takes the general TrimSpace/Fields/parseRecord path, so every accepted
+// The input is read once into memory, whole, and walked line by line. A
+// line of at most five plain ASCII fields — the spelling Write produces —
+// is split in place and handed to parseRecord without allocating; any
+// other line (non-ASCII white space or a sixth field) takes the general
+// TrimSpace/Fields path to the same parseRecord, so every accepted
 // spelling and every error message is the general path's.
 func Read(r io.Reader) (*Trace, error) {
 	if err := faults.Check(faults.TraceParse); err != nil {
@@ -112,10 +113,14 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, stagerr.Wrap(stagerr.Parse, err)
 	}
 	t := New(strings.Clone(app), nranks)
-	// Every rank's first record allocates room for its share of the lines
-	// plus some slack, so a balanced trace never regrows a slice.
-	perRank := strings.Count(rest, "\n") / nranks
+	// Each rank's first record allocates room for its share of the lines
+	// that open with a record letter, plus some slack, so a trace as Write
+	// lays it out never regrows a slice. Blank and comment lines do not
+	// count, and no record line is shorter than "i 0\n", so the estimate
+	// stays within the records the input can hold.
+	perRank := min(recordLines(rest), len(rest)/4+1) / nranks
 	perRank += min(perRank, 16)
+	var buf [maxFields]string // escapes once, through parseRecord's errors
 	line := 1
 	for rest != "" {
 		var text string
@@ -124,19 +129,16 @@ func Read(r io.Reader) (*Trace, error) {
 		if len(text) >= MaxLineBytes {
 			return nil, scanErr(bufio.ErrTooLong, line-1)
 		}
-		rec, rank, st := fastRecord(text, nranks)
-		if st == lineBlank {
+		fields, ok := splitASCII(text, &buf)
+		if !ok {
+			fields = strings.Fields(text)
+		}
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "%") {
 			continue
 		}
-		if st == lineGeneral {
-			text = strings.TrimSpace(text)
-			if text == "" || strings.HasPrefix(text, "%") {
-				continue
-			}
-			rec, rank, err = parseRecord(strings.Fields(text), nranks)
-			if err != nil {
-				return nil, stagerr.Errorf(stagerr.Parse, "trace: line %d: %w", line, err)
-			}
+		rec, rank, err := parseRecord(fields, nranks)
+		if err != nil {
+			return nil, stagerr.Errorf(stagerr.Parse, "trace: line %d: %w", line, err)
 		}
 		if t.Ranks[rank] == nil && perRank > 0 {
 			t.Ranks[rank] = make([]Record, 0, perRank)
@@ -160,24 +162,31 @@ func readAll(r io.Reader) (string, error) {
 	return sb.String(), err
 }
 
-// lineState is fastRecord's verdict on one line.
-type lineState uint8
+// recordLines counts the lines of s whose first byte is a record letter.
+func recordLines(s string) int {
+	n := 0
+	for s != "" {
+		switch s[0] {
+		case 'c', 's', 'r', 'g', 'i':
+			n++
+		}
+		i := strings.IndexByte(s, '\n')
+		if i < 0 {
+			break
+		}
+		s = s[i+1:]
+	}
+	return n
+}
 
-const (
-	lineRecord  lineState = iota // the returned record is the line's
-	lineBlank                    // white space or a comment: no record
-	lineGeneral                  // left to the general path
-)
-
-// maxFields is the most fields a record other than an iteration marker
-// carries; fastRecord leaves longer lines to the general path.
+// maxFields is the most fields a record carries.
 const maxFields = 5
 
-// fastRecord decodes one line of plain ASCII fields. It accepts only lines
-// the general path parses to the same record, and returns lineGeneral for
-// everything else, including every malformed line.
-func fastRecord(text string, nranks int) (Record, int, lineState) {
-	var f [maxFields]string
+// splitASCII splits text on ASCII white space into buf, as strings.Fields
+// would. It reports false, leaving the line to strings.Fields, when text
+// holds a non-ASCII byte (which may belong to Unicode white space) or more
+// than maxFields fields.
+func splitASCII(text string, buf *[maxFields]string) ([]string, bool) {
 	n := 0
 	for i := 0; i < len(text); {
 		switch byteClass[text[i]] {
@@ -185,82 +194,24 @@ func fastRecord(text string, nranks int) (Record, int, lineState) {
 			i++
 			continue
 		case classOther:
-			return Record{}, 0, lineGeneral
-		}
-		if n == 0 && text[i] == '%' {
-			return Record{}, 0, lineBlank
+			return nil, false
 		}
 		if n == maxFields {
-			return Record{}, 0, lineGeneral
+			return nil, false
 		}
 		j := i + 1
 		for j < len(text) && byteClass[text[j]] == classField {
 			j++
 		}
-		f[n] = text[i:j]
+		buf[n] = text[i:j]
 		n++
 		i = j
 	}
-	if n == 0 {
-		return Record{}, 0, lineBlank
-	}
-	if n < 2 || len(f[0]) != 1 {
-		return Record{}, 0, lineGeneral
-	}
-	rank, ok := atoi(f[1], intDigits)
-	if !ok || rank < 0 || rank >= int64(nranks) {
-		return Record{}, 0, lineGeneral
-	}
-	switch f[0][0] {
-	case 'c':
-		if n != 3 && n != 4 {
-			break
-		}
-		d, err := strconv.ParseFloat(f[2], 64)
-		if err != nil {
-			break
-		}
-		beta := -1.0
-		if n == 4 {
-			if beta, err = strconv.ParseFloat(f[3], 64); err != nil {
-				break
-			}
-		}
-		return Record{Kind: KindCompute, Duration: d, Beta: beta}, int(rank), lineRecord
-	case 's', 'r':
-		if n != 5 {
-			break
-		}
-		peer, ok1 := atoi(f[2], intDigits)
-		bytes, ok2 := atoi(f[3], int64Digits)
-		tag, ok3 := atoi(f[4], intDigits)
-		if !ok1 || !ok2 || !ok3 {
-			break
-		}
-		k := KindSend
-		if f[0][0] == 'r' {
-			k = KindRecv
-		}
-		return Record{Kind: k, Peer: int(peer), Bytes: bytes, Tag: int(tag)}, int(rank), lineRecord
-	case 'g':
-		if n != 4 {
-			break
-		}
-		coll, err := ParseCollective(f[2])
-		bytes, ok := atoi(f[3], int64Digits)
-		if err != nil || !ok {
-			break
-		}
-		return Record{Kind: KindColl, Coll: coll, Bytes: bytes}, int(rank), lineRecord
-	case 'i':
-		return Record{Kind: KindIterMark}, int(rank), lineRecord
-	}
-	return Record{}, 0, lineGeneral
+	return buf[:n], true
 }
 
-// Byte classes for fastRecord's field splitter: the ASCII white space
-// strings.Fields splits on, any other ASCII byte, and the bytes of
-// non-ASCII characters, which may be Unicode white space.
+// Byte classes for splitASCII: the ASCII white space strings.Fields splits
+// on, any other ASCII byte, and the bytes of non-ASCII characters.
 const (
 	classField = iota
 	classSpace
@@ -276,38 +227,6 @@ var byteClass = func() (c [256]uint8) {
 	}
 	return c
 }()
-
-// Decimal digit counts below which strconv.Atoi (int) and
-// strconv.ParseInt(s, 10, 64) cannot overflow.
-const (
-	intDigits   = 9 + 9*(strconv.IntSize/64)
-	int64Digits = 18
-)
-
-// atoi decodes an optional '-' followed by 1 to maxDigits decimal digits,
-// the spellings on which it agrees with strconv without range checks. It
-// reports false for anything else, including '+' signs and longer numbers.
-func atoi(s string, maxDigits int) (int64, bool) {
-	neg := s != "" && s[0] == '-'
-	if neg {
-		s = s[1:]
-	}
-	if s == "" || len(s) > maxDigits {
-		return 0, false
-	}
-	var v int64
-	for i := 0; i < len(s); i++ {
-		d := s[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		v = v*10 + int64(d)
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
-}
 
 func escapeApp(app string) string {
 	return strings.Map(func(r rune) rune {

@@ -258,12 +258,12 @@ func badChannels(t *Trace) int {
 	return bad
 }
 
-// readSeeds exercise every spelling the parser's fast path must hand to the
-// general path unchanged: CR line ends, the other ASCII and the Unicode
-// white space, signs and leading zeros, integers at and past the fast-path
-// digit limit, the float spellings strconv accepts or rejects, blank and
-// indented comment lines, a missing final newline, a lone CR inside a line
-// and records with a sixth field.
+// readSeeds exercise the spellings on which Read's in-place splitter must
+// agree with strings.Fields or hand the line to it: CR line ends, the other
+// ASCII and the Unicode white space, signs and leading zeros, integers at
+// and past the int64 range, the float spellings strconv accepts or rejects,
+// blank and indented comment lines, a missing final newline, a lone CR
+// inside a line and records with a sixth field.
 var readSeeds = []string{
 	"#PWRTRACE v1 app=a ranks=2\nc 0 1.5\ns 0 1 1024 7\nr 1 0 1024 7\ng 0 allreduce 8\ng 1 allreduce 8\ni 0\ni 1\n",
 	"#PWRTRACE v1 app=a ranks=2\r\nc 0 1.5\r\ns 0 1 1024 7\r\nr 1 0 1024 7\r\n",

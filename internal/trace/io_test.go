@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -116,7 +118,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestReadRanksStayAppendSafe guards Read's pre-sized rank slices: growing
+// TestReadRanksStayAppendSafe guards Read's rank slices: growing
 // one rank after parsing must leave every other rank untouched, and the
 // replay index must be rebuilt for the longer trace.
 func TestReadRanksStayAppendSafe(t *testing.T) {
@@ -149,5 +151,32 @@ func TestReadRanksStayAppendSafe(t *testing.T) {
 	}
 	if got := tr.ReplayIndex(build); got != 2 {
 		t.Fatalf("replay index not rebuilt after Add: build count %v", got)
+	}
+}
+
+// TestReadBlankLinesDoNotAllocate checks that Read's allocations follow the
+// records it parses, not the lines it skips: a body of one record per rank
+// and a million blank and comment lines costs about one copy of the input.
+func TestReadBlankLinesDoNotAllocate(t *testing.T) {
+	var in strings.Builder
+	in.WriteString("#PWRTRACE v1 app=a ranks=4\n")
+	for r := 0; r < 4; r++ {
+		fmt.Fprintf(&in, "c %d 1\n", r)
+	}
+	in.WriteString(strings.Repeat("\n\n%\n", 1<<18))
+	text := in.String()
+	var allocated uint64 = math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err := Read(strings.NewReader(text))
+		runtime.ReadMemStats(&after)
+		if err != nil || tr.NumRecords() != 4 {
+			t.Fatalf("Read = %v records, %v", tr.NumRecords(), err)
+		}
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(len(text)) + 64<<10; allocated > limit {
+		t.Fatalf("Read allocated %d bytes for a %d-byte input, want at most %d", allocated, len(text), limit)
 	}
 }
