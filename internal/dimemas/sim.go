@@ -119,9 +119,9 @@ type traceIndex struct {
 	chanSrc    []int32   // per channel: sending rank (for rendezvous wake-ups)
 }
 
-// buildIndex derives the replay tables from the trace's validation scan:
-// trace.Channels numbers the channels, and the send counts lay out the
-// arena. The hot replay path sees nothing but dense slices.
+// buildIndex takes the replay tables from the trace's validation scan:
+// trace.Channels numbers the channels and lays out the send arena. The hot
+// replay path sees nothing but dense slices.
 func buildIndex(t *trace.Trace) any {
 	idx := &traceIndex{nranks: t.NumRanks()}
 	ch, err := t.Channels()
@@ -130,13 +130,7 @@ func buildIndex(t *trace.Trace) any {
 		return idx
 	}
 	idx.chanOf, idx.chanSrc, idx.numColls = ch.Of, ch.Src, ch.Colls
-	idx.chanBase = make([]int32, len(ch.Sends))
-	var base int32
-	for c, cnt := range ch.Sends {
-		idx.chanBase[c] = base
-		base += cnt
-	}
-	idx.totalSends = int(base)
+	idx.chanBase, idx.totalSends = ch.Base, ch.TotalSends
 	return idx
 }
 

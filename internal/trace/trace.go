@@ -368,6 +368,10 @@ type ChannelIndex struct {
 	// Sends holds each channel's message count; on a valid trace it is
 	// also the channel's receive count.
 	Sends []int32
+	// Base holds each channel's first slot when the sends of all channels
+	// are laid out flat in channel order; TotalSends is that layout's size.
+	Base       []int32
+	TotalSends int
 	// Colls is the number of collectives every rank calls.
 	Colls int
 }
@@ -485,7 +489,7 @@ func (t *Trace) Channels() (*ChannelIndex, error) {
 // matchP2P checks, channel by channel in id order, that the send and
 // receive byte sequences agree element-wise (MPI guarantees in-order
 // matching per channel). Both sequences are laid out flat, each channel
-// at the offset of its sends.
+// at the offset of its sends, which it records in Base and TotalSends.
 func (ix *ChannelIndex) matchP2P(t *Trace, keys []chanKey, recvs []int32) error {
 	base := make([]int32, len(keys))
 	var total int32
@@ -493,6 +497,7 @@ func (ix *ChannelIndex) matchP2P(t *Trace, keys []chanKey, recvs []int32) error 
 		base[c] = total
 		total += ns
 	}
+	ix.Base, ix.TotalSends = base, int(total)
 	sent := make([]int64, total)
 	got := make([]int64, total)
 	nsent := make([]int32, len(keys))

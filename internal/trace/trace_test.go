@@ -282,8 +282,8 @@ func TestValidateErrorIsDeterministic(t *testing.T) {
 
 // TestChannelsOrderMatchesRecordOrder checks the numbering the replay
 // engine relies on: ids are dense and first appear in rank-major record
-// order, a receive shares its send's id, and Src, Sends and Colls describe
-// the channels.
+// order, a receive shares its send's id, and Src, Sends, Base and Colls
+// describe the channels.
 func TestChannelsOrderMatchesRecordOrder(t *testing.T) {
 	tr := New("order", 3)
 	tr.Add(0, Recv(2, 8, 0), Send(1, 4, 3), Coll(CollBarrier, 0), Send(1, 4, 3), Send(1, 2, 4))
@@ -302,6 +302,9 @@ func TestChannelsOrderMatchesRecordOrder(t *testing.T) {
 	}
 	if want := []int32{1, 2, 1, 1}; !reflect.DeepEqual(ch.Sends, want) {
 		t.Errorf("Sends = %v, want %v", ch.Sends, want)
+	}
+	if want := []int32{0, 1, 3, 4}; !reflect.DeepEqual(ch.Base, want) || ch.TotalSends != 5 {
+		t.Errorf("Base = %v, TotalSends = %d, want %v and 5", ch.Base, ch.TotalSends, want)
 	}
 	if ch.Colls != 1 {
 		t.Errorf("Colls = %d, want 1", ch.Colls)
