@@ -86,9 +86,9 @@ func Write(w io.Writer, t *Trace) error {
 // The input is read once into memory, whole, and walked line by line. A
 // line of at most five plain ASCII fields — the spelling Write produces —
 // is split in place and handed to parseRecord without allocating; any
-// other line (non-ASCII white space or a sixth field) takes the general
-// TrimSpace/Fields path to the same parseRecord, so every accepted
-// spelling and every error message is the general path's.
+// other line (a non-ASCII byte or a sixth field) is split by strings.Fields
+// for the same parseRecord, so every line is accepted or rejected, with
+// the same message, as strings.Fields and parseRecord alone would.
 func Read(r io.Reader) (*Trace, error) {
 	if err := faults.Check(faults.TraceParse); err != nil {
 		return nil, stagerr.Wrap(stagerr.Parse, err)

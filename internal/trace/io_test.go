@@ -156,7 +156,7 @@ func TestReadRanksStayAppendSafe(t *testing.T) {
 
 // TestReadBlankLinesDoNotAllocate checks that Read's allocations follow the
 // records it parses, not the lines it skips: a body of one record per rank
-// and a million blank and comment lines costs about one copy of the input.
+// and 786,432 blank and comment lines costs about one copy of the input.
 func TestReadBlankLinesDoNotAllocate(t *testing.T) {
 	var in strings.Builder
 	in.WriteString("#PWRTRACE v1 app=a ranks=4\n")
