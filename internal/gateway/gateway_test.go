@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -86,6 +87,33 @@ func TestProxyByteIdentical(t *testing.T) {
 	srv2.Handler().ServeHTTP(directApps, httptest.NewRequest("GET", "/v1/apps", nil))
 	if !bytes.Equal(viaApps.Body.Bytes(), directApps.Body.Bytes()) {
 		t.Fatal("keyless GET /v1/apps differs via gateway")
+	}
+}
+
+// A proxied response over 2 KiB keeps the backend's Content-Length, so the
+// gateway relays it unchunked, byte-identical to the direct answer.
+func TestProxyLargeResponseHasContentLength(t *testing.T) {
+	srv, ts := newBackendServer(t)
+	gw := httptest.NewServer(newGateway(t, Config{}, ts.URL).Handler())
+	t.Cleanup(gw.Close)
+	const body = `{"trace": {"app": "IS-32", "iterations": 3, "quick": true}}`
+	resp, err := http.Post(gw.URL+"/v1/tracegen", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(got) <= 2048 {
+		t.Fatalf("status %d with %d bytes, want 200 with over 2 KiB", resp.StatusCode, len(got))
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(got)) {
+		t.Fatalf("Transfer-Encoding %v, Content-Length %d, want none and %d", resp.TransferEncoding, resp.ContentLength, len(got))
+	}
+	if direct := postJSON(t, srv.Handler(), "/v1/tracegen", body); !bytes.Equal(got, direct.Body.Bytes()) {
+		t.Fatal("gateway response differs from direct")
 	}
 }
 

@@ -20,6 +20,8 @@ func TestReadMalformedInputs(t *testing.T) {
 		{"not a paraver header", "#NotParaver whatever\n"},
 		{"non-numeric task count", "#Paraver (x):100:1(2):1:zero(1:1)\n"},
 		{"zero task count", "#Paraver (x):100:1(2):1:0(1:1)\n"},
+		{"task count over trace.MaxRanks", "#Paraver (x):100:1(2):1:65537(1:1)\n"},
+		{"huge task count", "#Paraver (x):100:1(2):1:0000000100000000000(1:1)\n"},
 		{"truncated header", "#Paraver (x):100\n"},
 		{"truncated state record", sampleHeader + "1:1:1:1:1:0:100\n"},
 		{"non-numeric task", sampleHeader + "1:1:1:x:1:0:100:1\n"},
@@ -84,6 +86,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(sampleHeader + "9:whatever\n# comment\nc communicator\n")
 	f.Add("")
 	f.Add("#Paraver (x):100\n")
+	f.Add("#Paraver (x):100:1(2):1:0000000100000000000(1:1,1:2)\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := Read(strings.NewReader(in))
 		if err != nil {

@@ -9,6 +9,23 @@ import (
 	"testing"
 )
 
+// BenchmarkDecodeInlineWRF128 measures decode on the ≈460 KB body of a
+// /v1/analyze request carrying a 20-iteration WRF-128 trace inline, the
+// largest body of the ingest-inline benchmark workload.
+func BenchmarkDecodeInlineWRF128(b *testing.B) {
+	_, body := wrfBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		var req AnalyzeRequest
+		r := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body))
+		if err := decode(r, defaultMaxBodyBytes, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServerAnalyze measures end-to-end /v1/analyze throughput on a
 // warm cache: every iteration pays JSON decode + gear assignment + DVFS
 // replay, but shares the memoized baseline replay and generated trace.

@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -76,6 +77,8 @@ type Config struct {
 	Platform dimemas.Platform
 }
 
+const defaultMaxBodyBytes = 8 << 20
+
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8723"
@@ -99,7 +102,7 @@ func (c Config) withDefaults() Config {
 		c.TraceCacheEntries = 0 // unbounded
 	}
 	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 8 << 20
+		c.MaxBodyBytes = defaultMaxBodyBytes
 	}
 	if c.Platform == (dimemas.Platform{}) {
 		c.Platform = dimemas.DefaultPlatform()
@@ -252,7 +255,7 @@ func endpoint[Req, Resp any](s *Server, route string, run func(context.Context, 
 		defer cancel()
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		var req Req
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, s.cfg.MaxBodyBytes, &req); err != nil {
 			s.finishErr(w, r, err)
 			return
 		}
@@ -319,17 +322,20 @@ func (s *Server) traceResolve(ctx context.Context, spec TraceRef) (*trace.Trace,
 	})
 }
 
-// WriteJSON writes v as a compact JSON body with a trailing newline. The
-// daemon and the gateway write every JSON response through it.
+// WriteJSON writes v as a compact JSON body with a trailing newline and its
+// Content-Length, so no response goes out chunked. The daemon and the
+// gateway write every JSON response through it.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
 		return
 	}
+	b = append(b, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	w.Write(append(b, '\n'))
+	w.Write(b)
 }
 
 // WriteError writes the fleet's error envelope: the message, the stage the
@@ -348,21 +354,6 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	WriteError(w, status, stage, requestID(r.Context()), msg)
 }
 
-// decode strictly parses a JSON request body. It doubles as the handler-I/O
-// fault-injection point: a chaos run can make any request fail right at the
-// front door, before a slot-holding work goroutine exists.
-func decode(r *http.Request, v any) error {
-	if err := faults.Check(faults.HandlerIO); err != nil {
-		return stagerr.Wrap(stagerr.Serve, err)
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return stagerr.Errorf(stagerr.Parse, "body: %w", err)
-	}
-	return nil
-}
-
 // StatusClientClosedRequest is nginx's non-standard code for a client that
 // hung up before the response; it keeps abandoned requests out of the 504
 // timeout accounting.
@@ -372,7 +363,8 @@ const StatusClientClosedRequest = 499
 // stage is the error's origin (innermost stagerr tag); untagged errors and
 // request-lifecycle outcomes (timeout, client hangup) report as the serve
 // stage. Injected faults answer 500 — the request was well-formed; the
-// server broke — where ordinary pipeline errors are the client's 400.
+// server broke — and a body over MaxBodyBytes answers 413, as the gateway
+// does, where ordinary pipeline errors are the client's 400.
 func (s *Server) finishErr(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -385,9 +377,13 @@ func (s *Server) finishErr(w http.ResponseWriter, r *http.Request, err error) {
 		if st, ok := stagerr.StageOf(err); ok {
 			stage = st
 		}
+		var tooLarge *http.MaxBytesError
 		status := http.StatusBadRequest
-		if faults.IsInjected(err) {
+		switch {
+		case faults.IsInjected(err):
 			status = http.StatusInternalServerError
+		case errors.As(err, &tooLarge):
+			status = http.StatusRequestEntityTooLarge
 		}
 		s.writeError(w, r, status, stage, err.Error())
 	}

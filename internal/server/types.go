@@ -14,6 +14,7 @@ import (
 	"repro/internal/predict"
 	"repro/internal/rebalance"
 	"repro/internal/stagerr"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -43,6 +44,10 @@ const (
 	// closed-loop rebalancing request.
 	MaxRebalanceIterations = 500
 )
+
+// A generated workload of MaxNProcs ranks must read back as inline text;
+// this constant overflows, failing the build, if trace.MaxRanks is smaller.
+const _ = uint(trace.MaxRanks - MaxNProcs)
 
 // TraceRef selects the trace a request operates on: either an inline trace
 // in the text format, or a synthetic Table 3 workload generated (and

@@ -14,7 +14,7 @@ import (
 func decodeFixture(t *testing.T, body string, v any) {
 	t.Helper()
 	r := httptest.NewRequest("POST", "/", strings.NewReader(body))
-	if err := decode(r, v); err != nil {
+	if err := decode(r, defaultMaxBodyBytes, v); err != nil {
 		t.Fatalf("fixture no longer decodes: %v\nbody: %s", err, body)
 	}
 }
@@ -98,6 +98,30 @@ func TestWireFixturesDecodeUnchanged(t *testing.T) {
 			t.Errorf("decoded %+v, want %+v", req, want)
 		}
 	})
+
+	// Inline text with escapes, under the lift cut and past it (lifted, and
+	// with a \u escape decoded by encoding/json).
+	lines := strings.Repeat(`c 0 1.5\n`, liftCut/8)
+	for _, tc := range []struct {
+		name, text, want string
+	}{
+		{"replay inline text", `#PWRTRACE v1 app=a\tb ranks=1\n\"q\" \\ \/ \r\n`, "#PWRTRACE v1 app=a\tb ranks=1\n\"q\" \\ / \r\n"},
+		{"replay inline text past the cut", `#PWRTRACE v1 app=a\tb ranks=1\n\"q\" \\ \/ \r\n` + lines, "#PWRTRACE v1 app=a\tb ranks=1\n\"q\" \\ / \r\n" + strings.ReplaceAll(lines, `\n`, "\n")},
+		{"replay inline text past the cut with a \\u escape", `#PWRTRACE v1 app=\u0041 ranks=1\n` + lines, "#PWRTRACE v1 app=A ranks=1\n" + strings.ReplaceAll(lines, `\n`, "\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var req ReplayRequest
+			decodeFixture(t, `{"trace": {"text": "`+tc.text+`"}, "freqs": [2.3], "beta": 0.4}`, &req)
+			want := ReplayRequest{
+				Trace:    TraceRef{Text: tc.want},
+				Freqs:    []float64{2.3},
+				GearSpec: GearSpec{Beta: betaPtr(0.4)},
+			}
+			if !reflect.DeepEqual(req, want) {
+				t.Errorf("decoded %+v, want %+v", req, want)
+			}
+		})
+	}
 
 	t.Run("gearopt", func(t *testing.T) {
 		var req GearOptRequest

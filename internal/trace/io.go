@@ -35,6 +35,12 @@ const formatHeader = "#PWRTRACE v1"
 // memory, so callers that take untrusted input bound its size themselves.
 const MaxLineBytes = 16 << 20
 
+// MaxRanks bounds the rank count a trace header may declare. Readers
+// allocate one timeline per declared rank before reading a record, so an
+// unbounded count lets a header of a few dozen bytes demand terabytes; a
+// larger count is a parse-stage error.
+const MaxRanks = 1 << 16
+
 // scanErr converts a read failure, or bufio.ErrTooLong for an over-long
 // line, into a parse-stage error. line is the last complete line; the
 // failure is on the next one.
@@ -251,6 +257,9 @@ func parseHeader(h string) (app string, nranks int, err error) {
 	}
 	if nranks <= 0 {
 		return "", 0, fmt.Errorf("trace: header missing positive ranks count: %q", h)
+	}
+	if nranks > MaxRanks {
+		return "", 0, fmt.Errorf("trace: header declares %d ranks, more than the limit %d", nranks, MaxRanks)
 	}
 	return app, nranks, nil
 }

@@ -287,16 +287,38 @@ var readSeeds = []string{
 	"hello\n",
 	"#PWRTRACE v1 app=a ranks=x\n",
 	"#PWRTRACE v1 app=a ranks=0\n",
+	"#PWRTRACE v1 app=x ranks=0000000100000000000\n",
 }
 
-// maxFuzzRanks bounds the rank count a fuzz input may declare: both parsers
-// allocate one slice header per declared rank before reading a record.
-const maxFuzzRanks = 1 << 16
-
+// declaresTooManyRanks reports whether in's header declares more than
+// MaxRanks ranks, reading the count as parseHeader does.
 func declaresTooManyRanks(in string) bool {
 	header, _, _ := strings.Cut(in, "\n")
-	_, n, err := parseHeader(header)
-	return err == nil && n > maxFuzzRanks
+	n := 0
+	for _, f := range strings.Fields(header) {
+		if v, ok := strings.CutPrefix(f, "ranks="); ok {
+			var err error
+			if n, err = strconv.Atoi(v); err != nil {
+				return false
+			}
+		}
+	}
+	return n > MaxRanks
+}
+
+// assertRejectsTooManyRanks asserts Read refuses an input whose header
+// declares more than MaxRanks ranks with a parse-stage error. The reference
+// parser allocates a timeline per declared rank before it reads a record,
+// so it cannot run such an input.
+func assertRejectsTooManyRanks(t *testing.T, in string) {
+	t.Helper()
+	_, err := Read(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("Read accepted a header declaring more than MaxRanks ranks")
+	}
+	if st, ok := stagerr.StageOf(err); !ok || st != stagerr.Parse {
+		t.Fatalf("Read error %v has stage %v, want parse", err, st)
+	}
 }
 
 // FuzzReadMatchesReference asserts Read returns what the reference parser
@@ -308,7 +330,8 @@ func FuzzReadMatchesReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		if declaresTooManyRanks(in) {
-			t.Skip("declared rank count exceeds the fuzz memory bound")
+			assertRejectsTooManyRanks(t, in)
+			return
 		}
 		assertReadMatchesReference(t, in)
 	})
@@ -430,7 +453,8 @@ func FuzzValidateMatchesReference(f *testing.F) {
 	f.Add("#PWRTRACE v1 app=a ranks=2\nc 0 -1\ns 0 5 8 0\ns 1 1 8 0\ng 0 reduce -2\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		if declaresTooManyRanks(in) {
-			t.Skip("declared rank count exceeds the fuzz memory bound")
+			assertRejectsTooManyRanks(t, in)
+			return
 		}
 		tr, err := readReference(strings.NewReader(in))
 		if err != nil {

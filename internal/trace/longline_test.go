@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -56,6 +57,28 @@ func TestScanErrMapsTooLong(t *testing.T) {
 	}
 }
 
+// TestReadBoundsDeclaredRanks pins the rank-count bound: a header may
+// declare MaxRanks ranks, and one more is a parse-stage error raised
+// before any per-rank allocation.
+func TestReadBoundsDeclaredRanks(t *testing.T) {
+	tr, err := Read(strings.NewReader(fmt.Sprintf("#PWRTRACE v1 app=a ranks=%d\nc 0 1\n", MaxRanks)))
+	if err != nil {
+		t.Fatalf("MaxRanks ranks rejected: %v", err)
+	}
+	if tr.NumRanks() != MaxRanks {
+		t.Fatalf("parsed %d ranks, want %d", tr.NumRanks(), MaxRanks)
+	}
+	for _, n := range []string{fmt.Sprint(MaxRanks + 1), "0000000100000000000"} {
+		_, err := Read(strings.NewReader("#PWRTRACE v1 app=a ranks=" + n + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "more than the limit") {
+			t.Fatalf("ranks=%s: err = %v, want the rank-count limit", n, err)
+		}
+		if st, ok := stagerr.StageOf(err); !ok || st != stagerr.Parse {
+			t.Fatalf("ranks=%s: stage = %v/%v, want parse", n, st, ok)
+		}
+	}
+}
+
 // FuzzRead asserts the parser never panics and every failure is a
 // parse-stage error.
 func FuzzRead(f *testing.F) {
@@ -66,6 +89,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("#PWRTRACE v1 app=a ranks=1\nc 0 nope\n")
 	f.Add("#PWRTRACE v1 app=a ranks=1\ng 0 allreduce x\n")
 	f.Add("#PWRTRACE v1 app=a ranks=1\nz 0\n")
+	f.Add("#PWRTRACE v1 app=x ranks=0000000100000000000\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := Read(strings.NewReader(in))
 		if err != nil {
