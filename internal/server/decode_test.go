@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -198,8 +199,12 @@ func TestDecodeLiftsMarshaledInlineText(t *testing.T) {
 	if !ok {
 		t.Fatal("liftText declined a marshaled inline trace")
 	}
-	if lifted != text || string(body[start]) != `"` || string(body[end-1]) != `"` {
-		t.Fatalf("lifted %d bytes at [%d,%d), want the %d-byte trace text", len(lifted), start, end, len(text))
+	literal, err := json.Marshal(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lifted != text || !bytes.Equal(body[start:end], literal) {
+		t.Fatalf("lifted %d bytes from [%d,%d), want the %d-byte trace text from its literal", len(lifted), start, end, len(text))
 	}
 	assertDecodeMatchesJSONForAll(t, string(body))
 }
